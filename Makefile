@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-flash test-cluster test-tier test-serve tier1 bench bench-allocs bench-overhead throughput flashbench herdbench
+.PHONY: all build vet test race tier1 bench-test bench bench-allocs bench-overhead throughput flashbench herdbench
 
 all: tier1
 
@@ -13,53 +13,29 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrency-sensitive packages: the sharded
-# concurrent S3-FIFO (miss-path shards, tombstone ring, batched eviction),
-# the lock-free primitives it builds on, the telemetry instruments
-# (hammered from many goroutines while scraping), and the TCP server.
-# Includes the Get/Set/Delete stress test (TestStressInvariants).
-test-race:
-	$(GO) test -race ./internal/concurrent/... ./internal/lockfree/... ./internal/telemetry/... ./internal/server/...
+# The one race-detector pass, over every package with concurrency in it:
+# the sharded concurrent S3-FIFO machine and the lock-free ring it builds
+# on (TestStressInvariants runs here), telemetry (hammered while scraped),
+# the TCP server with the miss coalescer and leases, the fault-injecting
+# filesystem and both local second tiers on it, the cache facade (breaker
+# prober, Save/Close), the client, the hash ring and cluster router, the
+# herd harness, and the root end-to-end tests (flash outage, restart).
+RACE_PKGS = ./internal/concurrent/... ./internal/lockfree/... ./internal/telemetry/... \
+	./internal/server/... ./internal/faultfs/... ./internal/flash/... ./internal/filetier/... \
+	./internal/hashring/... ./internal/harness/... ./cache/... ./client/... ./cluster/... .
 
-# Race-detector pass over the two-tier path: the fault-injecting
-# filesystem, the log-structured flash store on top of it, the cache
-# facade (including the flash breaker's background prober), the hardened
-# client, and the root end-to-end tests (the flash-outage degradation
-# story runs here under the race detector).
-test-flash:
-	$(GO) test -race ./internal/faultfs/... ./internal/flash/... ./cache/... ./client/... .
-
-# Race-detector pass over the pluggable second-tier seam: every Tier
-# implementation behind the one interface — the log-structured flash
-# store, the bucketed file tier, and the remote (peer-server) tier — plus
-# the breaker/degradation tests parameterized across all of them, the
-# tier-parameterized end-to-end integration suite, and the warm-restart
-# snapshot machinery (Save/Close race included).
-test-tier:
-	$(GO) test -race ./internal/filetier/... ./internal/flash/... ./cache/... .
-
-# Race-detector pass over cluster mode: the consistent-hash ring's
-# property tests and the router (per-node breakers probing in the
-# background, membership changes, replicated reads repairing) driven
-# against real in-process servers — including the 3-node kill/rejoin
-# end-to-end scenario.
-test-cluster:
-	$(GO) test -race ./internal/hashring/... ./cluster/...
-
-# Race-detector pass over the anti-stampede serving stack: the miss
-# coalescer's concurrency properties (one fill slot per key, shared
-# failure, Delete-race no-resurrection, overflow degradation, lease
-# re-grant), the lease wire protocol (binary GETX/SETX and the text
-# dialect), the expiry-boundary fixed-clock suite, negative caching,
-# and the TCP herd harness end to end.
-test-serve:
-	$(GO) test -race -run 'Coalesce|Lease|Setx|Getx|Stale|Negative|ExpiryBoundary|AntiStampede' ./internal/server/ ./cache/ ./client/
-	$(GO) test -race -run 'Herd' ./internal/harness/
+race:
+	$(GO) test -race $(RACE_PKGS)
 
 # Tier-1 verification: everything must build and vet clean, the full
-# suite must pass, and the concurrent + tiered + cluster + anti-stampede
-# paths must be race-clean.
-tier1: build vet test test-race test-flash test-tier test-cluster test-serve
+# suite must pass, and the concurrent paths must be race-clean.
+tier1: build vet test race
+
+# The benchmark (bench/, a module of its own) has its own tests: golden
+# stream hashes, the lying-store checker, catalogue == BENCHMARK.json, and
+# a ~70 s smoke of all four workloads.
+bench-test:
+	$(GO) test -C bench ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -373,7 +373,8 @@ func (c *Cache) Engine() string { return c.engine.Name() }
 // while user callbacks are queued and drained later with no locks held.
 func (c *Cache) noteEviction(ev EngineEviction) {
 	demoted := false
-	if c.tier != nil && !ev.expired() {
+	// A victim whose TTL has already passed is never worth a tier write.
+	if c.tier != nil && !expiredAt(ev.ExpiresAt, now().UnixNano()) {
 		demoted = c.tier.demote(ev)
 	}
 	if c.onEvict != nil && !demoted {
@@ -673,8 +674,9 @@ func (c *Cache) Stats() Stats {
 	out.DRAMHits = c.dramHits.Load()
 	out.Misses = c.misses.Load()
 	out.Sets = c.sets.Load()
-	out.Evictions = c.engine.Evictions()
-	out.Expired = c.engine.Expired()
+	ec := c.engine.Counters()
+	out.Evictions = ec.SmallQueueEvict + ec.MainQueueEvict
+	out.Expired = ec.TTLExpire
 	out.Hits = out.DRAMHits
 	out.StaleServed = c.staleServed.Load()
 	out.NegativeHits = c.negativeHits.Load()

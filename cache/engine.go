@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"sort"
+
+	"s3fifo/internal/concurrent"
 )
 
 // Engine is the eviction engine under the cache facade: a string-keyed,
@@ -52,10 +54,6 @@ type Engine interface {
 	// the walk. Used by snapshots; concurrent mutations may or may not be
 	// observed.
 	Range(fn func(key string, value []byte, expiresAt int64) bool)
-	// Evictions returns the cumulative count of capacity evictions.
-	Evictions() uint64
-	// Expired returns the cumulative count of lazily reaped TTL expiries.
-	Expired() uint64
 	// Counters returns the cumulative eviction-flow counters: every entry
 	// removal or queue transition, attributed to the Algorithm 1 branch
 	// (or API call) that caused it. Cheap — reads always-on atomics.
@@ -85,86 +83,29 @@ type Engine interface {
 	RestoreMeta(next func() (MetaRecord, bool))
 }
 
-// MetaQueue says which S3-FIFO queue a snapshot entry was resident in.
-type MetaQueue uint8
-
-const (
-	MetaSmall MetaQueue = 0
-	MetaMain  MetaQueue = 1
+// The data the Engine interface speaks is declared once, next to the
+// engine that produces all of it (internal/concurrent), and aliased here
+// so the public names survive.
+type (
+	// MetaRecord is one record of an engine's metadata snapshot.
+	MetaRecord = concurrent.MetaRecord
+	// MetaQueue says which S3-FIFO queue a snapshot entry was resident in.
+	MetaQueue = concurrent.MetaQueue
+	// KeySample is one entry of an engine's hot-key export.
+	KeySample = concurrent.KeySample
+	// EngineCounters are cumulative eviction-flow counts.
+	EngineCounters = concurrent.Counters
+	// QueueOccupancy is a point-in-time sample of queue occupancy.
+	QueueOccupancy = concurrent.QueueOccupancy
+	// EngineEviction describes one capacity eviction as seen by the
+	// engine's hook.
+	EngineEviction = concurrent.Eviction
 )
 
-// MetaRecord is one record of an engine's metadata snapshot: either a
-// resident entry (with value, TTL, queue membership, and frequency) or
-// one ghost-queue fingerprint (with the owning shard's index). The
-// snapshot v2 file format (snapshot.go) serializes these records
-// verbatim.
-type MetaRecord struct {
-	// Ghost distinguishes the two record kinds.
-	Ghost bool
-
-	// Entry fields (Ghost false).
-	Key       string
-	Value     []byte
-	ExpiresAt int64
-	Freq      int
-	Queue     MetaQueue
-
-	// Ghost fields (Ghost true).
-	Shard       uint32
-	Fingerprint uint32
-}
-
-// KeySample is one entry of an engine's hot-key export: the key and its
-// access frequency at sampling time (the S3-FIFO freq counter, 0..3+, or
-// 0 when the engine does not track frequency).
-type KeySample struct {
-	Key  string
-	Freq int
-}
-
-// EngineCounters are cumulative eviction-flow counts — the taxonomy
-// DESIGN.md §9 maps onto Algorithm 1's branches. SmallQueueEvict and
-// MainQueueEvict partition capacity evictions (Evictions()); the rest
-// account for removals and reinsertions outside the two eviction scans.
-type EngineCounters struct {
-	// SmallQueueEvict counts evictions from the small queue S — the quick
-	// demotions into the ghost queue (EVICTS).
-	SmallQueueEvict uint64
-	// MainQueueEvict counts evictions from the main queue M (EVICTM). For
-	// single-queue policies every capacity eviction lands here.
-	MainQueueEvict uint64
-	// GhostReinsert counts misses inserted directly into M because the
-	// ghost queue remembered the key (READ's ghost-hit branch).
-	GhostReinsert uint64
-	// TTLExpire counts lazily reaped TTL expiries.
-	TTLExpire uint64
-	// ExplicitDelete counts Delete calls that removed a resident entry.
-	ExplicitDelete uint64
-	// OversizedOverwrite counts resident entries dropped because an
-	// overwrite was too large to admit.
-	OversizedOverwrite uint64
-}
-
-// QueueOccupancy is a point-in-time sample of S3-FIFO queue occupancy
-// (S/M byte and entry counts, ghost entry count), summed over shards.
-type QueueOccupancy struct {
-	SmallBytes, MainBytes uint64
-	SmallLen, MainLen     int
-	GhostLen              int
-}
-
-// EngineEviction describes one capacity eviction as seen by the engine's
-// hook: the victim's key, value, charged size, S3-FIFO frequency at
-// eviction (0 for engines without a frequency counter), and absolute
-// expiry (0 = none). The flash tier's demotion decision consumes all of
-// these.
-type EngineEviction struct {
-	Key       string
-	Value     []byte
-	Size      uint32
-	Freq      int
-	ExpiresAt int64
-}
+const (
+	MetaSmall = concurrent.MetaSmall
+	MetaMain  = concurrent.MetaMain
+)
 
 // engineConfig is what a facade Config boils down to by the time an
 // engine is constructed.

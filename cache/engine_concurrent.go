@@ -2,144 +2,24 @@ package cache
 
 import "s3fifo/internal/concurrent"
 
-// concurrentEngine adapts the lock-free S3-FIFO KV from
-// internal/concurrent to the Engine interface. Hits are lock-free (hash
-// lookup, key verification, capped atomic frequency bump); only misses
-// and evictions take a queue-shard mutex. It implements exactly one
-// policy — s3fifo — which Config validation enforces.
+// newConcurrentEngine builds the lock-free S3-FIFO engine: *concurrent.KV
+// satisfies Engine as it stands. Hits are lock-free (hash lookup, key
+// verification, capped atomic frequency bump); only misses and evictions
+// take a queue-shard mutex. It implements exactly one policy — s3fifo —
+// which Config validation enforces.
 //
 // The eviction hook runs under the owning queue shard's mutex. The KV
 // serializes overwrites and deletes on that same mutex whenever a hook is
-// configured, which is what lets the facade order its flash-tier
+// configured, which is what lets the facade order its second-tier
 // tombstones after in-flight demotions (see cache/tiered.go).
-type concurrentEngine struct {
-	kv *concurrent.KV
-}
-
 func newConcurrentEngine(cfg engineConfig) (Engine, error) {
-	var hook func(key string, value []byte, size uint32, freq int, expiresAt int64)
-	if cfg.onEvict != nil {
-		cb := cfg.onEvict
-		hook = func(key string, value []byte, size uint32, freq int, expiresAt int64) {
-			cb(EngineEviction{Key: key, Value: value, Size: size, Freq: freq, ExpiresAt: expiresAt})
-		}
-	}
-	kv := concurrent.NewKV(concurrent.KVConfig{
+	return concurrent.NewKV(concurrent.KVConfig{
 		MaxBytes:   cfg.maxBytes,
 		Shards:     cfg.shards,
 		SmallRatio: cfg.smallQueueRatio,
 		// TTL checks share the facade's clock so fake-clock tests drive
 		// both engines identically.
 		Now:     func() int64 { return now().UnixNano() },
-		OnEvict: hook,
-	})
-	return &concurrentEngine{kv: kv}, nil
-}
-
-func (e *concurrentEngine) Name() string { return "concurrent" }
-
-func (e *concurrentEngine) Get(key string) ([]byte, bool) { return e.kv.Get(key) }
-
-func (e *concurrentEngine) GetStale(key string) ([]byte, int64, bool) {
-	return e.kv.GetStale(key)
-}
-
-func (e *concurrentEngine) Set(key string, value []byte, expiresAt int64) bool {
-	return e.kv.Set(key, value, expiresAt)
-}
-
-func (e *concurrentEngine) Add(key string, value []byte, expiresAt int64) bool {
-	return e.kv.Add(key, value, expiresAt)
-}
-
-func (e *concurrentEngine) Delete(key string) bool { return e.kv.Delete(key) }
-
-func (e *concurrentEngine) Contains(key string) bool { return e.kv.Contains(key) }
-
-func (e *concurrentEngine) Len() int { return e.kv.Len() }
-
-func (e *concurrentEngine) Used() uint64 { return e.kv.Used() }
-
-func (e *concurrentEngine) Capacity() uint64 { return e.kv.Capacity() }
-
-func (e *concurrentEngine) Range(fn func(key string, value []byte, expiresAt int64) bool) {
-	e.kv.Range(fn)
-}
-
-func (e *concurrentEngine) Evictions() uint64 { return e.kv.Evictions() }
-
-func (e *concurrentEngine) Expired() uint64 { return e.kv.Expired() }
-
-func (e *concurrentEngine) Counters() EngineCounters {
-	return EngineCounters{
-		SmallQueueEvict:    e.kv.EvictionsSmall(),
-		MainQueueEvict:     e.kv.EvictionsMain(),
-		GhostReinsert:      e.kv.GhostReinserts(),
-		TTLExpire:          e.kv.Expired(),
-		ExplicitDelete:     e.kv.Deletes(),
-		OversizedOverwrite: e.kv.OversizedDrops(),
-	}
-}
-
-// Sample implements Engine with the KV's real per-entry frequency
-// counters, hottest first.
-func (e *concurrentEngine) Sample(max int) []KeySample {
-	hot := e.kv.SampleHot(max)
-	out := make([]KeySample, len(hot))
-	for i, h := range hot {
-		out[i] = KeySample{Key: h.Key, Freq: h.Freq}
-	}
-	return out
-}
-
-// SnapshotMeta exports the KV's full S3-FIFO state: queue membership,
-// per-entry frequency, and ghost fingerprints.
-func (e *concurrentEngine) SnapshotMeta(fn func(MetaRecord) bool) {
-	e.kv.SnapshotMeta(func(r concurrent.MetaRecord) bool {
-		out := MetaRecord{
-			Ghost:       r.Ghost,
-			Key:         r.Key,
-			Value:       r.Value,
-			ExpiresAt:   r.ExpiresAt,
-			Freq:        r.Freq,
-			Shard:       r.Shard,
-			Fingerprint: r.Fingerprint,
-		}
-		if r.Main {
-			out.Queue = MetaMain
-		}
-		return fn(out)
-	})
-}
-
-// RestoreMeta replays a metadata export into the KV, rebuilding queue
-// positions, frequencies, and the ghost queues.
-func (e *concurrentEngine) RestoreMeta(next func() (MetaRecord, bool)) {
-	e.kv.RestoreMeta(func() (concurrent.MetaRecord, bool) {
-		r, ok := next()
-		if !ok {
-			return concurrent.MetaRecord{}, false
-		}
-		return concurrent.MetaRecord{
-			Ghost:       r.Ghost,
-			Key:         r.Key,
-			Value:       r.Value,
-			ExpiresAt:   r.ExpiresAt,
-			Freq:        r.Freq,
-			Main:        r.Queue == MetaMain,
-			Shard:       r.Shard,
-			Fingerprint: r.Fingerprint,
-		}, true
-	})
-}
-
-func (e *concurrentEngine) Occupancy() QueueOccupancy {
-	qs := e.kv.Queues()
-	return QueueOccupancy{
-		SmallBytes: qs.SmallBytes,
-		MainBytes:  qs.MainBytes,
-		SmallLen:   qs.SmallLen,
-		MainLen:    qs.MainLen,
-		GhostLen:   qs.GhostLen,
-	}
+		OnEvict: cfg.onEvict,
+	}), nil
 }

@@ -16,11 +16,10 @@ import (
 // eviction hook runs under the shard lock, inside the policy's eviction
 // callback.
 type policyEngine struct {
-	shards    []*policyShard
-	mask      uint64
-	onEvict   func(EngineEviction)
-	evictions atomic.Uint64
-	expired   atomic.Uint64
+	shards  []*policyShard
+	mask    uint64
+	onEvict func(EngineEviction)
+	expired atomic.Uint64
 
 	// Eviction-flow accounting (EngineCounters). Small/main attribution
 	// comes from policy.Eviction.Queue; policies that do not report a
@@ -73,8 +72,11 @@ func newPolicyEngine(cfg engineConfig) (Engine, error) {
 	}
 
 	mk := func() (policy.Policy, error) {
-		if pol == "s3fifo" && cfg.smallQueueRatio > 0 {
-			return core.NewS3FIFO(perShard, core.Options{SmallRatio: cfg.smallQueueRatio}), nil
+		if pol == "s3fifo" {
+			// perShard is a byte budget, not the object count core's default
+			// ghost sizing reads it as: start the table small and let it
+			// regrow as |M| is learned, as the concurrent engine does.
+			return core.NewS3FIFO(perShard, core.Options{SmallRatio: cfg.smallQueueRatio, GhostEntries: 16}), nil
 		}
 		if f, ok := core.Factories()[pol]; ok {
 			return f(perShard), nil
@@ -118,7 +120,6 @@ func (s *policyShard) evicted(ev policy.Eviction) {
 	e := s.entries[key]
 	delete(s.ids, ev.Key)
 	delete(s.entries, key)
-	s.eng.evictions.Add(1)
 	if ev.Queue == policy.QueueSmall {
 		s.eng.evictSmall.Add(1)
 	} else {
@@ -311,9 +312,6 @@ func (pe *policyEngine) Range(fn func(key string, value []byte, expiresAt int64)
 		s.mu.Unlock()
 	}
 }
-
-func (pe *policyEngine) Evictions() uint64 { return pe.evictions.Load() }
-func (pe *policyEngine) Expired() uint64   { return pe.expired.Load() }
 
 // Counters implements Engine. Ghost reinserts are read from the S3-FIFO
 // core's movement counters under each shard lock (scrape-time only);

@@ -3,12 +3,32 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"s3fifo/internal/concurrent"
 )
+
+// The lock-free KV is an Engine as it stands: no adapter in between.
+var _ Engine = (*concurrent.KV)(nil)
+
+// TestDefaultEngineEmptyHeap: the default engine must size its ghost
+// tables from what it learns, not from the byte budget read as an object
+// count (16 shards x a 2^20-entry table was 767 MB for a 30 MB cache).
+func TestDefaultEngineEmptyHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := mustNew(t, Config{MaxBytes: 30 << 20})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 8<<20 {
+		t.Errorf("empty 30 MB default-engine cache holds %d MB of heap, want < 8", grew>>20)
+	}
+	runtime.KeepAlive(c)
+}
 
 func TestEnginesListed(t *testing.T) {
 	got := map[string]bool{}

@@ -18,8 +18,8 @@ import (
 // Restoring replays the records through Engine.RestoreMeta, so a
 // restarted cache resumes with the eviction policy's learned state
 // (which entries proved reuse, what the ghost remembers), not just the
-// data. v1 snapshots (value dump, no metadata) still load via the
-// legacy path.
+// data. v1 snapshots (a value dump nothing writes any more) are rejected
+// by version.
 //
 // Integrity: Load verifies the CRC and fully validates the record
 // structure before constructing a cache, so a corrupt or truncated
@@ -260,10 +260,9 @@ func validateSnapshotV2(body []byte) error {
 }
 
 // Load restores a snapshot written by Save into a freshly configured
-// cache. v2 snapshots restore full eviction metadata (queue membership,
-// frequencies, ghost fingerprints) via Engine.RestoreMeta; v1 snapshots
-// restore values only. Entries that no longer fit (smaller MaxBytes
-// than at save time) are admitted-then-evicted by the policy as usual;
+// cache: full eviction metadata (queue membership, frequencies, ghost
+// fingerprints) via Engine.RestoreMeta. Entries that no longer fit
+// (smaller MaxBytes than at save time) are admitted-then-evicted as usual;
 // already-expired TTL entries are dropped. On any error — bad magic,
 // CRC mismatch, truncation, corrupt structure — Load returns a nil
 // cache and no partial state.
@@ -277,7 +276,7 @@ func Load(r io.Reader, cfg Config) (*Cache, error) {
 	case snapshotMagicV2:
 		return loadV2(br, cfg)
 	case snapshotMagicV1:
-		return loadV1(br, cfg)
+		return nil, errors.New("cache: unsupported snapshot version 1")
 	default:
 		return nil, errors.New("cache: not a snapshot (bad magic)")
 	}
@@ -317,63 +316,6 @@ func loadV2(br *bufio.Reader, cfg Config) (*Cache, error) {
 	c.drainEvictions()
 	c.snapshotAt.Store(savedAt)
 	return c, nil
-}
-
-// loadV1 is the legacy value-dump loader: length-prefixed records,
-// zero-keylen terminator, no checksum, no metadata.
-func loadV1(br *bufio.Reader, cfg Config) (*Cache, error) {
-	c, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*Cache, error) {
-		c.Close()
-		return nil, err
-	}
-	var scratch [8]byte
-	readUint := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	for {
-		keyLen, err := readUint()
-		if err != nil {
-			return fail(fmt.Errorf("cache: snapshot truncated: %w", err))
-		}
-		if keyLen == 0 {
-			return c, nil // terminator
-		}
-		if keyLen > maxSnapshotRecord {
-			return fail(errors.New("cache: snapshot key length corrupt"))
-		}
-		key := make([]byte, keyLen)
-		if _, err := io.ReadFull(br, key); err != nil {
-			return fail(fmt.Errorf("cache: snapshot truncated: %w", err))
-		}
-		valLen, err := readUint()
-		if err != nil {
-			return fail(fmt.Errorf("cache: snapshot truncated: %w", err))
-		}
-		if valLen > maxSnapshotRecord {
-			return fail(errors.New("cache: snapshot value length corrupt"))
-		}
-		value := make([]byte, valLen)
-		if _, err := io.ReadFull(br, value); err != nil {
-			return fail(fmt.Errorf("cache: snapshot truncated: %w", err))
-		}
-		expiry, err := readUint()
-		if err != nil {
-			return fail(fmt.Errorf("cache: snapshot truncated: %w", err))
-		}
-		expiresAt := int64(expiry)
-		if expiresAt != 0 && now().UnixNano() > expiresAt {
-			continue // already expired at load time
-		}
-		c.sets.Add(1)
-		c.set(string(key), value, expiresAt)
-	}
 }
 
 // SaveFile writes a snapshot to path atomically: a temp file in the

@@ -115,19 +115,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			t.Errorf("Load(%q) succeeded", data)
 		}
 	}
-	// Valid v1 header, corrupt length field.
-	var buf bytes.Buffer
-	buf.Write(snapshotMagicV1[:])
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	if _, err := Load(&buf, Config{MaxBytes: 1024}); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("corrupt length: %v", err)
-	}
-	// Valid v1 header, truncated record.
-	buf.Reset()
-	buf.Write(snapshotMagicV1[:])
-	buf.Write([]byte{4, 0, 0, 0, 0, 0, 0, 0}) // key length 4, no key bytes
-	if _, err := Load(&buf, Config{MaxBytes: 1024}); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Errorf("truncated record: %v", err)
+	// A v1 snapshot, whatever follows the magic, is rejected by version.
+	v1 := append(append([]byte(nil), snapshotMagicV1[:]...), make([]byte, 8)...)
+	if _, err := Load(bytes.NewReader(v1), Config{MaxBytes: 1024}); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+		t.Errorf("v1 snapshot: %v", err)
 	}
 }
 
@@ -358,7 +349,8 @@ func TestLoadRejectsCorruptV2(t *testing.T) {
 // and never yield a partially restored cache — Load returns a working
 // cache or an error, nothing in between.
 func FuzzSnapshotLoad(f *testing.F) {
-	// Seeds: a real v2 snapshot, a real v1 snapshot, and junk.
+	// Seeds: a real v2 snapshot, a well-formed v1 snapshot (an input
+	// format with no loader: must be rejected), and junk.
 	c, err := New(Config{MaxBytes: 1 << 16})
 	if err != nil {
 		f.Fatal(err)
@@ -384,6 +376,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data), Config{MaxBytes: 1 << 16})
+		if err == nil && bytes.HasPrefix(data, snapshotMagicV1[:]) {
+			t.Fatal("v1 snapshot loaded")
+		}
 		if err != nil {
 			if loaded != nil {
 				t.Fatal("Load returned both a cache and an error")

@@ -202,13 +202,6 @@ func (t *secondTier) demote(ev EngineEviction) bool {
 	return true
 }
 
-// expired reports whether the evicted entry's TTL had already passed at
-// eviction time, per the shared expiredAt boundary (such victims are
-// never worth a tier write).
-func (ev EngineEviction) expired() bool {
-	return expiredAt(ev.ExpiresAt, now().UnixNano())
-}
-
 // onSet runs after an engine Set: the new value supersedes any tier
 // copy (tombstoned, not just dropped from the index, so a stale record
 // can never resurrect on crash recovery), and ghost admission may write

@@ -421,7 +421,7 @@ func testRestartDoesNotResurrectSupersededValue(t *testing.T, engine string) {
 }
 
 // TestTieredConcurrent hammers a tiered cache from several goroutines;
-// the Makefile test-flash target runs this under -race.
+// make race runs this under -race.
 func TestTieredConcurrent(t *testing.T) {
 	forEachEngine(t, testTieredConcurrent)
 }

@@ -4,13 +4,13 @@
 // for concurrent use (requests are serialized on the connection, like a
 // classic memcached text-protocol client).
 //
-// Two faster wire modes share the same API. Options.Binary switches the
-// connection to the length-prefixed binary protocol (internal/proto):
-// same request/response discipline, no text parsing on either end.
-// Options.Pipeline additionally enables pipelined mode: up to Pipeline
-// requests in flight on one connection, matched to responses by request
-// id, with writes from concurrent goroutines coalesced into shared
-// flushes. A pipelined client turns N goroutines hammering one
+// One faster wire mode shares the same API: the length-prefixed binary
+// protocol (internal/proto), pipelined. Options.Pipeline puts up to that
+// many requests in flight on one connection, matched to responses by
+// request id, with writes from concurrent goroutines coalesced into
+// shared flushes; Options.Binary alone is the same path with a window of
+// one (same request/response discipline as text, no text parsing on
+// either end). A pipelined client turns N goroutines hammering one
 // connection into one batched syscall stream in each direction — drive
 // it concurrently; a single synchronous caller gains only the binary
 // framing.
@@ -67,7 +67,7 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Binary selects the length-prefixed binary protocol (internal/proto)
 	// instead of the text protocol. The server auto-detects it on the
-	// first byte.
+	// first byte. Without Pipeline it is pipelining with a window of 1.
 	Binary bool
 	// Pipeline, when positive, enables pipelined mode over the binary
 	// protocol (implying Binary): up to Pipeline requests in flight on
@@ -91,6 +91,8 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pipeline > 0 {
 		o.Binary = true
+	} else if o.Binary {
+		o.Pipeline = 1
 	}
 	return o
 }
@@ -110,15 +112,14 @@ type Client struct {
 	addr string
 	opts Options
 
-	pipe *pipe // non-nil in pipelined mode; owns the connection instead
+	pipe *pipe // non-nil on the binary protocol; owns the connection instead
 
+	// The text-protocol connection.
 	mu     sync.Mutex
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
 	closed bool
-
-	hdr [proto.HeaderLen]byte // response-header scratch (binary sync mode)
 }
 
 // Dial connects to an s3cached server at addr ("host:port") with default
@@ -255,12 +256,8 @@ func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
-	if !c.opts.Binary {
-		// Only the text protocol has a parting command; a binary
-		// connection just closes.
-		fmt.Fprintf(c.w, "quit\r\n")
-		c.w.Flush()
-	}
+	fmt.Fprintf(c.w, "quit\r\n")
+	c.w.Flush()
 	err := c.conn.Close()
 	c.conn = nil
 	return err
@@ -277,41 +274,6 @@ func (c *Client) readLine() (string, error) {
 // errFor converts an ERROR response line into a *ServerError.
 func errFor(line string) error {
 	return &ServerError{Reason: strings.TrimPrefix(line, "ERROR ")}
-}
-
-// binRoundTrip writes one binary request and reads its response on the
-// synchronous (non-pipelined) connection. Callers hold c.mu via do().
-// An error-status response is returned as a *ServerError; everything
-// else surfaces as (status, value).
-func (c *Client) binRoundTrip(op proto.Op, key string, value []byte, ttl uint32) (proto.Status, []byte, error) {
-	buf := proto.GetBuf()
-	*buf = proto.AppendRequest(*buf, op, ttl, 0, key, value)
-	_, err := c.w.Write(*buf)
-	proto.PutBuf(buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return 0, nil, err
-	}
-	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	h, err := proto.ParseResponseHeader(c.hdr[:])
-	if err != nil {
-		return 0, nil, err
-	}
-	var resp []byte
-	if h.ValueLen > 0 {
-		resp = make([]byte, h.ValueLen)
-		if _, err := io.ReadFull(c.r, resp); err != nil {
-			return 0, nil, err
-		}
-	}
-	if h.Status == proto.StatusErr {
-		return 0, nil, &ServerError{Reason: string(resp)}
-	}
-	return h.Status, resp, nil
 }
 
 // checkKey rejects keys the binary framing cannot carry before anything
@@ -331,25 +293,6 @@ func checkKey(key string) error {
 func (c *Client) Get(key string) ([]byte, bool, error) {
 	if c.pipe != nil {
 		return c.pipe.Get(key)
-	}
-	if c.opts.Binary {
-		if err := checkKey(key); err != nil {
-			return nil, false, err
-		}
-		var value []byte
-		var ok bool
-		err := c.do(func() error {
-			st, v, err := c.binRoundTrip(proto.OpGet, key, nil, 0)
-			if err != nil {
-				return err
-			}
-			value, ok = v, st == proto.StatusOK
-			return nil
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		return value, ok, nil
 	}
 	var value []byte
 	var ok bool
@@ -437,24 +380,6 @@ func (c *Client) set(key string, value []byte, ttl time.Duration) (bool, error) 
 	if c.pipe != nil {
 		return c.pipe.Set(key, value, ttl)
 	}
-	if c.opts.Binary {
-		if err := checkKey(key); err != nil {
-			return false, err
-		}
-		if len(value) > proto.MaxValueLen {
-			return false, &ServerError{Reason: "value too large"}
-		}
-		var stored bool
-		err := c.do(func() error {
-			st, _, err := c.binRoundTrip(proto.OpSet, key, value, ttlSeconds(ttl))
-			if err != nil {
-				return err
-			}
-			stored = st == proto.StatusOK
-			return nil
-		})
-		return stored, err
-	}
 	var stored bool
 	err := c.do(func() error {
 		if ttl > 0 {
@@ -495,21 +420,6 @@ func (c *Client) set(key string, value []byte, ttl time.Duration) (bool, error) 
 func (c *Client) Delete(key string) (bool, error) {
 	if c.pipe != nil {
 		return c.pipe.Delete(key)
-	}
-	if c.opts.Binary {
-		if err := checkKey(key); err != nil {
-			return false, err
-		}
-		var existed bool
-		err := c.do(func() error {
-			st, _, err := c.binRoundTrip(proto.OpDelete, key, nil, 0)
-			if err != nil {
-				return err
-			}
-			existed = st == proto.StatusOK
-			return nil
-		})
-		return existed, err
 	}
 	var existed bool
 	err := c.do(func() error {
@@ -713,17 +623,11 @@ func parseStatPayload(payload []byte) (map[string]string, error) {
 // Ping round-trips a no-op through the server — a liveness and latency
 // probe. It requires the binary protocol (Options.Binary or Pipeline).
 func (c *Client) Ping() error {
-	if c.pipe != nil {
-		_, _, err := c.pipe.roundTrip(proto.OpPing, "", nil, 0)
-		return err
-	}
-	if !c.opts.Binary {
+	if c.pipe == nil {
 		return errors.New("client: Ping requires the binary protocol")
 	}
-	return c.do(func() error {
-		_, _, err := c.binRoundTrip(proto.OpPing, "", nil, 0)
-		return err
-	})
+	_, _, err := c.pipe.roundTrip(proto.OpPing, "", nil, 0)
+	return err
 }
 
 // KeySample is one entry of a server's hot-key export (the keys
@@ -772,21 +676,6 @@ func (c *Client) Keys(max int) ([]KeySample, error) {
 		}
 		return parseKeysPayload(payload)
 	}
-	if c.opts.Binary {
-		var out []KeySample
-		err := c.do(func() error {
-			_, payload, err := c.binRoundTrip(proto.OpKeys, "", nil, ttl)
-			if err != nil {
-				return err
-			}
-			out, err = parseKeysPayload(payload)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	var out []KeySample
 	err := c.do(func() error {
 		if max > 0 {
@@ -834,21 +723,6 @@ func (c *Client) StatsRaw() (map[string]string, error) {
 			return nil, err
 		}
 		return parseStatPayload(payload)
-	}
-	if c.opts.Binary {
-		var out map[string]string
-		err := c.do(func() error {
-			_, payload, err := c.binRoundTrip(proto.OpStats, "", nil, 0)
-			if err != nil {
-				return err
-			}
-			out, err = parseStatPayload(payload)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
 	}
 	var out map[string]string
 	err := c.do(func() error {

@@ -60,18 +60,6 @@ func (c *Client) GetX(key string, grace time.Duration) (GetXResult, error) {
 		}
 		return getxResult(st, v)
 	}
-	if c.opts.Binary {
-		var res GetXResult
-		err := c.do(func() error {
-			st, v, err := c.binRoundTrip(proto.OpGetx, key, nil, ttlSeconds(grace))
-			if err != nil {
-				return err
-			}
-			res, err = getxResult(st, v)
-			return err
-		})
-		return res, err
-	}
 	var res GetXResult
 	err := c.do(func() error {
 		res = GetXResult{}
@@ -198,7 +186,7 @@ func setxTTL(ttl time.Duration) uint32 {
 }
 
 func (c *Client) setx(key string, lease uint64, value []byte, ttlSec uint32, negative bool) (bool, error) {
-	if c.pipe != nil || c.opts.Binary {
+	if c.pipe != nil {
 		// Binary framing: value bytes are token ‖ payload; a negative fill
 		// sets TTL bit 31 and carries the bare token.
 		framed := make([]byte, proto.LeaseTokenLen+len(value))
@@ -208,16 +196,7 @@ func (c *Client) setx(key string, lease uint64, value []byte, ttlSec uint32, neg
 		if negative {
 			wireTTL |= proto.SetxNegativeFlag
 		}
-		var st proto.Status
-		var err error
-		if c.pipe != nil {
-			st, _, err = c.pipe.roundTrip(proto.OpSetx, key, framed, wireTTL)
-		} else {
-			err = c.do(func() error {
-				st, _, err = c.binRoundTrip(proto.OpSetx, key, framed, wireTTL)
-				return err
-			})
-		}
+		st, _, err := c.pipe.roundTrip(proto.OpSetx, key, framed, wireTTL)
 		if err != nil {
 			return false, err
 		}

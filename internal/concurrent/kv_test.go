@@ -2,9 +2,12 @@ package concurrent
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"s3fifo/internal/workload"
 )
 
 func TestKVGetSetDelete(t *testing.T) {
@@ -79,7 +82,7 @@ func TestKVByteAccounting(t *testing.T) {
 	if kv.Len() > capacity/100 {
 		t.Fatalf("Len() = %d, want <= %d", kv.Len(), capacity/100)
 	}
-	if kv.Evictions() == 0 {
+	if c := kv.Counters(); c.SmallQueueEvict+c.MainQueueEvict == 0 {
 		t.Fatal("flood beyond capacity recorded no evictions")
 	}
 	if kv.Capacity() != capacity {
@@ -120,8 +123,8 @@ func TestKVTTL(t *testing.T) {
 	if _, ok := kv.Get("k"); ok {
 		t.Fatal("expired entry served")
 	}
-	if kv.Expired() != 1 {
-		t.Fatalf("Expired() = %d, want 1", kv.Expired())
+	if got := kv.Counters().TTLExpire; got != 1 {
+		t.Fatalf("TTLExpire = %d, want 1", got)
 	}
 	if kv.Len() != 0 {
 		t.Fatalf("Len() after expiry = %d, want 0", kv.Len())
@@ -159,13 +162,13 @@ func TestKVEvictionHook(t *testing.T) {
 	kv := NewKV(KVConfig{
 		MaxBytes: 1000,
 		Shards:   1,
-		OnEvict: func(key string, value []byte, size uint32, freq int, expiresAt int64) {
+		OnEvict: func(ev Eviction) {
 			mu.Lock()
 			defer mu.Unlock()
-			if size != uint32(len(key)+len(value)) {
-				t.Errorf("hook size %d != %d", size, len(key)+len(value))
+			if ev.Size != uint32(len(ev.Key)+len(ev.Value)) {
+				t.Errorf("hook size %d != %d", ev.Size, len(ev.Key)+len(ev.Value))
 			}
-			evicted[key] = string(value)
+			evicted[ev.Key] = string(ev.Value)
 		},
 	})
 	val := make([]byte, 96)
@@ -230,12 +233,12 @@ func TestKVRange(t *testing.T) {
 func TestKVConcurrent(t *testing.T) {
 	for _, hooked := range []bool{false, true} {
 		name := "lockfree-overwrites"
-		var hook func(string, []byte, uint32, int, int64)
+		var hook func(Eviction)
 		var hookCalls atomic.Uint64
 		if hooked {
 			name = "locked-overwrites"
-			hook = func(key string, value []byte, size uint32, freq int, expiresAt int64) {
-				if key == "" {
+			hook = func(ev Eviction) {
+				if ev.Key == "" {
 					t.Error("hook saw empty key")
 				}
 				hookCalls.Add(1)
@@ -269,5 +272,60 @@ func TestKVConcurrent(t *testing.T) {
 				t.Fatalf("Used() = %d exceeds Capacity() = %d", used, c)
 			}
 		})
+	}
+}
+
+// kvGolden is the outcome of goldenKVReplay: every number an eviction
+// decision can move.
+type kvGolden struct {
+	misses, evictSmall, evictMain, ghostReinserts, length, used uint64
+}
+
+// goldenKVReplay drives a fixed seeded stream through a KV on a logical
+// clock: Zipf(1.0) look-aside gets with set-on-miss (80 %), deletes
+// (10 %), and TTL sets of a fresh random size (10 %); entries charge
+// 16..80 bytes, so byte accounting, in-place and resizing overwrites,
+// lazy expiry, tombstone sweeps and ghost resizing all take part.
+func goldenKVReplay(shards int) kvGolden {
+	var clock int64
+	kv := NewKV(KVConfig{MaxBytes: 100_000, Shards: shards, Now: func() int64 { return clock }})
+	rng := rand.New(rand.NewSource(20230923))
+	z := workload.NewZipf(rng, 1.0, 20_000)
+	payload := make([]byte, 72)
+	var g kvGolden
+	for i := 0; i < 400_000; i++ {
+		clock++
+		k := z.Sample()
+		key := fmt.Sprintf("k%07d", k)
+		switch rng.Intn(10) {
+		case 0:
+			kv.Delete(key)
+		case 1:
+			kv.Set(key, payload[:8+rng.Intn(65)], clock+1+rng.Int63n(20_000))
+		default:
+			if _, ok := kv.Get(key); !ok {
+				g.misses++
+				kv.Set(key, payload[:8+k%65], 0)
+			}
+		}
+	}
+	g.evictSmall, g.evictMain, g.ghostReinserts = kv.EvictionsSmall(), kv.EvictionsMain(), kv.GhostReinserts()
+	g.length, g.used = uint64(kv.Len()), kv.Used()
+	return g
+}
+
+// TestKVGolden pins the served engine's eviction decisions exactly. The
+// constants were recorded at commit 50cba39, when KV still had its own
+// copy of the shard machine; a single-threaded replay is deterministic,
+// so any difference means an eviction decision moved.
+func TestKVGolden(t *testing.T) {
+	want := map[int]kvGolden{
+		1: {misses: 115913, evictSmall: 95852, evictMain: 4493, ghostReinserts: 21959, length: 2058, used: 99503},
+		8: {misses: 115645, evictSmall: 94598, evictMain: 5431, ghostReinserts: 23047, length: 1987, used: 96252},
+	}
+	for shards, w := range want {
+		if got := goldenKVReplay(shards); got != w {
+			t.Errorf("shards=%d:\n got  %+v\n want %+v", shards, got, w)
+		}
 	}
 }

@@ -196,7 +196,7 @@ func Replay(c Cache, w *Workload, threads, opsPerThread int) ReplayResult {
 				}
 			}
 			hits.Add(localHits)
-		}(t*len(w.Keys)/maxI(threads, 1), &hists[t])
+		}(t*len(w.Keys)/max(threads, 1), &hists[t])
 	}
 	wg.Wait()
 	elapsed := time.Since(start)

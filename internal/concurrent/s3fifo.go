@@ -1,134 +1,22 @@
 package concurrent
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"s3fifo/internal/ghost"
-	"s3fifo/internal/lockfree"
-)
-
-// S3FIFO is the concurrent S3-FIFO prototype (§5.1.3, §5.3). The property
-// the paper leans on is that FIFO queues never reorder on reads: a cache
-// hit performs a sharded hash lookup plus at most one atomic increment of
-// the object's 2-bit frequency counter — no list manipulation and no
-// locks. Only the miss path (insertion + eviction) takes a lock, and that
-// path is sharded: the cache is split into N independent shards (a power
-// of two, keyed by the same mix as the sharded index), each owning its own
-// small/main FIFO queues, ghost queue, and miss-path mutex, so concurrent
-// misses on different shards never contend.
-//
-// Within a shard the remaining serial work is amortized off the hot path,
-// Cachelib-style:
-//
-//   - Delete never touches the queues; it publishes a tombstone hint into
-//     a per-shard lock-free ring that whoever next holds the shard lock
-//     drains, sweeping dead entries out of the queues in batch once enough
-//     accumulate.
-//   - Eviction runs in small batches down to a low watermark, so most Sets
-//     only push onto a queue and the eviction scan's cache-miss costs are
-//     paid in bursts.
-//   - The ghost queue is resized only when the main queue length has
-//     drifted ≥1/8 from the last resize, not once per evicted object.
+// S3FIFO is the Fig. 8 front of the concurrent S3-FIFO machine (shard.go):
+// the Cache interface over uint64 keys. The key is its own hash and every
+// object charges one unit, so the machine's "bytes" are objects and the
+// capacity is an object count — the same engine the server runs, measured
+// under the same harness as the baselines.
 type S3FIFO struct {
-	capacity  int
-	index     *shardedIndex[*centry]
-	shards    []*s3fifoShard
-	shardMask uint64
-}
-
-// s3fifoShard is one independent slice of the cache: its own queues, ghost,
-// and miss-path mutex. A key maps to exactly one shard for its lifetime.
-type s3fifoShard struct {
-	mu       sync.Mutex // guards the queues, the ghost, and tombstones
-	capacity int
-	sTarget  int
-	small    fifoRing
-	main     fifoRing
-	ghost    *ghost.Queue
-	// ghostSizedFor is the main-queue length the ghost was last sized to;
-	// Resize runs only when the current length drifts ≥1/8 from it.
-	ghostSizedFor int
-	// pending carries tombstone hints from the lock-free Delete path to
-	// the next lock holder; tombstones counts drained hints not yet swept.
-	pending    *lockfree.Ring
-	tombstones int
-	sweepAt    int
-	evictBatch int
-	live       atomic.Int64 // resident (non-dead) objects owned by this shard
-}
-
-type centry struct {
-	key   uint64
-	value atomic.Pointer[[]byte] // replaced atomically so lock-free readers never race
-	freq  atomic.Int32
-	dead  atomic.Bool // deleted or superseded; skipped at eviction scan
-	// val backs the initial value pointer so a fresh insert costs a single
-	// allocation; in-place replacements allocate a new slice header.
-	val []byte
-}
-
-// fifoRing is a slice-backed FIFO of entries, guarded by the shard mutex.
-type fifoRing struct {
-	buf  []*centry
-	head int
-}
-
-func (q *fifoRing) push(e *centry) { q.buf = append(q.buf, e) }
-
-func (q *fifoRing) pop() *centry {
-	if q.head >= len(q.buf) {
-		return nil
-	}
-	e := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	// Compact occasionally so memory stays bounded.
-	if q.head > 1024 && q.head*2 > len(q.buf) {
-		q.buf = append(q.buf[:0], q.buf[q.head:]...)
-		q.head = 0
-	}
-	return e
-}
-
-func (q *fifoRing) len() int { return len(q.buf) - q.head }
-
-// sweep removes tombstoned entries in one pass, preserving FIFO order.
-// Dead entries are otherwise reclaimed only when an eviction scan reaches
-// them; sweeping in batch keeps delete-heavy workloads from dragging dead
-// weight through every scan.
-func (q *fifoRing) sweep() {
-	w := q.head
-	for i := q.head; i < len(q.buf); i++ {
-		if e := q.buf[i]; !e.dead.Load() {
-			q.buf[w] = e
-			w++
-		}
-	}
-	for i := w; i < len(q.buf); i++ {
-		q.buf[i] = nil
-	}
-	q.buf = q.buf[:w]
+	machine[uint64]
 }
 
 const (
-	ccMaxFreq = 3
-
-	// evictBatchMax objects are evicted per over-watermark trigger, so the
+	// evictBatchMax objects are evicted per over-capacity trigger, so the
 	// next ~batch Sets on the shard skip the eviction scan entirely.
 	evictBatchMax = 8
 
 	// minShardCapacity keeps automatically chosen shards large enough that
 	// per-shard queues and ghosts remain statistically meaningful.
 	minShardCapacity = 128
-
-	// maxShards bounds the shard count (matches the index shard count).
-	maxShards = 64
-
-	// pendingRingCap bounds the per-shard tombstone-hint ring; a dropped
-	// hint only delays a sweep.
-	pendingRingCap = 256
 )
 
 // NewS3FIFO returns a concurrent S3-FIFO holding capacity objects with an
@@ -141,272 +29,31 @@ func NewS3FIFO(capacity int) *S3FIFO { return NewS3FIFOSharded(capacity, 0) }
 // picks a default from GOMAXPROCS, shrunk until every shard holds at least
 // minShardCapacity objects.
 func NewS3FIFOSharded(capacity, shards int) *S3FIFO {
-	n := shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n < 8 {
-			n = 8
+	c := &S3FIFO{}
+	c.init(uint64(max(capacity, 0)), shards, minShardCapacity, 0.10, func(shardCap uint64) shardTuning {
+		batch := max(min(evictBatchMax, (shardCap+3)/4), 1)
+		return shardTuning{
+			// The incoming object is one unit of the batch.
+			evictSlack:   batch - 1,
+			sweepAt:      int(max(shardCap/8, 32)),
+			ghostEntries: int(max(shardCap, 16)),
 		}
-	}
-	p := 1
-	for p < n && p < maxShards {
-		p <<= 1
-	}
-	n = p
-	if shards <= 0 {
-		for n > 1 && capacity/n < minShardCapacity {
-			n >>= 1
-		}
-	}
-	for n > 1 && capacity/n < 1 {
-		n >>= 1
-	}
-	c := &S3FIFO{
-		capacity:  capacity,
-		index:     newShardedIndex[*centry](),
-		shards:    make([]*s3fifoShard, n),
-		shardMask: uint64(n - 1),
-	}
-	base, extra := capacity/n, capacity%n
-	for i := range c.shards {
-		cap := base
-		if i < extra {
-			cap++
-		}
-		sTarget := cap / 10
-		if sTarget < 1 {
-			sTarget = 1
-		}
-		batch := evictBatchMax
-		if max := (cap + 3) / 4; batch > max {
-			batch = max
-		}
-		if batch < 1 {
-			batch = 1
-		}
-		sweepAt := cap / 8
-		if sweepAt < 32 {
-			sweepAt = 32
-		}
-		c.shards[i] = &s3fifoShard{
-			capacity:   cap,
-			sTarget:    sTarget,
-			ghost:      ghost.New(maxI(cap, 16)),
-			pending:    lockfree.NewRing(pendingRingCap),
-			sweepAt:    sweepAt,
-			evictBatch: batch,
-		}
-	}
+	})
 	return c
 }
 
 // Name implements Cache.
 func (c *S3FIFO) Name() string { return "s3fifo" }
 
-// Shards returns the queue shard count.
-func (c *S3FIFO) Shards() int { return len(c.shards) }
-
-func (c *S3FIFO) shard(key uint64) *s3fifoShard {
-	return c.shards[mix64(key)&c.shardMask]
-}
-
 // Get implements Cache: the lock-free hit path.
-func (c *S3FIFO) Get(key uint64) ([]byte, bool) {
-	e, ok := c.index.get(key)
-	if !ok || e.dead.Load() {
-		return nil, false
-	}
-	v := e.value.Load()
-	// Capped atomic increment: most requests for popular objects are
-	// already at the cap and perform no write at all (§4.3.1).
-	for {
-		f := e.freq.Load()
-		if f >= ccMaxFreq {
-			break
-		}
-		if e.freq.CompareAndSwap(f, f+1) {
-			break
-		}
-	}
-	return *v, true
-}
+func (c *S3FIFO) Get(key uint64) ([]byte, bool) { return c.get(key, key) }
 
 // Set implements Cache: the miss path, serialized on the owning shard's
 // mutex only.
-func (c *S3FIFO) Set(key uint64, value []byte) {
-	e := &centry{key: key, val: value}
-	e.value.Store(&e.val)
-	for {
-		old, loaded := c.index.putIfAbsent(key, e)
-		if !loaded {
-			break // we own the insertion
-		}
-		if !old.dead.Load() {
-			v := value
-			old.value.Store(&v) // already resident: replace in place
-			// The replacement is logically a new object: it re-earns its
-			// reinsertion instead of inheriting the old value's popularity.
-			old.freq.Store(0)
-			return
-		}
-		// A dead mapping is mid-eviction; clear it and retry.
-		c.index.deleteIf(key, old)
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	if int(s.live.Load()) >= s.capacity {
-		s.evictBatchLocked(c)
-	}
-	if s.ghost.Contains(key) {
-		s.ghost.Remove(key)
-		s.main.push(e)
-	} else {
-		s.small.push(e)
-	}
-	s.live.Add(1)
-	s.mu.Unlock()
-}
+func (c *S3FIFO) Set(key uint64, value []byte) { c.set(key, key, value, 1, 0) }
 
-// drainPendingLocked absorbs tombstone hints published by Delete and, once
-// enough have accumulated, sweeps dead entries out of both queues in one
-// batch. Called with the shard lock held.
-func (s *s3fifoShard) drainPendingLocked() {
-	if s.pending.Len() == 0 {
-		return
-	}
-	s.tombstones += s.pending.Drain(func(uint64) {}, pendingRingCap)
-	if s.tombstones < s.sweepAt {
-		return
-	}
-	s.tombstones = 0
-	s.small.sweep()
-	s.main.sweep()
-}
-
-// evictBatchLocked drains pending tombstone hints, then evicts down to the
-// low watermark (capacity − batch) so that the following ~batch insertions
-// skip eviction entirely, and re-checks the ghost size once for the whole
-// batch. Each eviction adjusts the live count locally; the shared counter
-// is updated once.
-func (s *s3fifoShard) evictBatchLocked(c *S3FIFO) {
-	s.drainPendingLocked()
-	target := s.capacity - s.evictBatch
-	if target < 0 {
-		target = 0
-	}
-	evicted := 0
-	for int(s.live.Load())-evicted > target {
-		if !s.evictOneLocked(c) {
-			break
-		}
-		evicted++
-	}
-	if evicted > 0 {
-		s.live.Add(-int64(evicted))
-	}
-	s.maybeResizeGhostLocked()
-}
-
-// maybeResizeGhostLocked tracks |G| = |M| (§4.2) lazily: the ghost is
-// resized only when the main queue length has drifted at least 1/8 from
-// the length it was last sized to.
-func (s *s3fifoShard) maybeResizeGhostLocked() {
-	m := s.main.len()
-	d := m - s.ghostSizedFor
-	if d < 0 {
-		d = -d
-	}
-	if d*8 >= maxI(s.ghostSizedFor, 16) {
-		s.ghost.Resize(maxI(m, 16))
-		s.ghostSizedFor = m
-	}
-}
-
-func (s *s3fifoShard) evictOneLocked(c *S3FIFO) bool {
-	if s.small.len() >= s.sTarget || s.main.len() == 0 {
-		return s.evictFromSmallLocked(c)
-	}
-	return s.evictFromMainLocked(c)
-}
-
-func (s *s3fifoShard) evictFromSmallLocked(c *S3FIFO) bool {
-	for {
-		e := s.small.pop()
-		if e == nil {
-			return s.evictFromMainLocked(c)
-		}
-		if e.dead.Load() {
-			continue // deleted while queued; its slot is already free
-		}
-		if e.freq.Load() > 1 {
-			e.freq.Store(0)
-			s.main.push(e)
-			continue
-		}
-		if e.dead.Swap(true) {
-			continue // lost the race to a concurrent Delete
-		}
-		c.index.deleteIf(e.key, e)
-		s.ghost.Insert(e.key)
-		return true
-	}
-}
-
-func (s *s3fifoShard) evictFromMainLocked(c *S3FIFO) bool {
-	for {
-		e := s.main.pop()
-		if e == nil {
-			return false
-		}
-		if e.dead.Load() {
-			continue
-		}
-		if f := e.freq.Load(); f > 0 {
-			e.freq.Store(f - 1)
-			s.main.push(e)
-			continue
-		}
-		if e.dead.Swap(true) {
-			continue
-		}
-		c.index.deleteIf(e.key, e)
-		return true
-	}
-}
-
-// Delete removes key if present. The queue slot is tombstoned and lazily
-// reclaimed — either when an eviction scan reaches it or when a batched
-// sweep (triggered by the tombstone hints below) collects it — which is
-// how a ring-buffer deployment behaves (§4.2). Delete itself takes no
-// locks.
-func (c *S3FIFO) Delete(key uint64) {
-	if e, ok := c.index.get(key); ok && !e.dead.Swap(true) {
-		c.index.deleteIf(key, e)
-		s := c.shard(key)
-		s.live.Add(-1)
-		// Hint the next lock holder; a full ring just delays the sweep.
-		s.pending.TryPush(key)
-	}
-}
-
-// Len implements Cache.
-func (c *S3FIFO) Len() int {
-	var n int64
-	for _, s := range c.shards {
-		n += s.live.Load()
-	}
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
-}
+// Delete removes key if present, taking no locks.
+func (c *S3FIFO) Delete(key uint64) { c.del(key, key) }
 
 // Capacity implements Cache.
-func (c *S3FIFO) Capacity() int { return c.capacity }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func (c *S3FIFO) Capacity() int { return int(c.capacity) }

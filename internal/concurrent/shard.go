@@ -1,0 +1,590 @@
+package concurrent
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"s3fifo/internal/ghost"
+	"s3fifo/internal/lockfree"
+)
+
+// machine is the one concurrent S3-FIFO (§4.3, §5.3) behind both typed
+// fronts, KV (string keys, byte budget) and S3FIFO (uint64 keys, object
+// budget). The property the paper leans on is that FIFO queues never
+// reorder on reads: a hit is a sharded hash lookup, a key check, and at
+// most one atomic increment of a 2-bit frequency counter — no list
+// manipulation and no locks. Only the miss path (insertion + eviction)
+// takes a lock, and that path is sharded: N independent shards (a power
+// of two, keyed by the same mix as the index), each with its own
+// small/main FIFO queues, ghost queue, and mutex, so concurrent misses on
+// different shards never contend.
+//
+// Within a shard the remaining serial work is amortized off the hot path,
+// Cachelib-style:
+//
+//   - Delete never touches the queues; it tombstones the entry and
+//     publishes a hint into a per-shard lock-free ring that the next lock
+//     holder drains, sweeping dead entries out in batch once enough
+//     accumulate.
+//   - Eviction runs down to a low watermark, so most inserts only push
+//     onto a queue and the eviction scan's cache misses are paid in bursts.
+//   - The ghost queue is resized only when the main queue length has
+//     drifted ≥1/8 from the last resize, not once per evicted object.
+//
+// The caller supplies every entry's 64-bit hash (the index and shard key)
+// and its charged size; the machine never looks inside a key beyond
+// comparing it. One exception to "writes outside the miss path are
+// lock-free": when an eviction hook is configured, overwrites and deletes
+// also serialize on the shard mutex. The hook runs under that mutex, and
+// a caller that supersedes a value (re-set, delete) must not be able to
+// overtake an in-flight hook call for the same key — the cache facade
+// orders its second-tier tombstone after the hook's demotion write by
+// exactly this serialization (see cache/tiered.go).
+type machine[K comparable] struct {
+	capacity  uint64
+	index     *shardedIndex[*entry[K]]
+	shards    []*shard[K]
+	shardMask uint64
+	now       func() int64
+	onEvict   func(key K, value []byte, size uint32, freq int, expiresAt int64)
+
+	// Eviction-flow accounting (see Counters): which Algorithm 1 branch
+	// each removal or reinsertion took.
+	evictSmall     atomic.Uint64
+	evictMain      atomic.Uint64
+	ghostReinserts atomic.Uint64
+	expired        atomic.Uint64
+	deletes        atomic.Uint64
+	oversized      atomic.Uint64
+}
+
+// shard is one independent slice of the cache: its own budget, queues,
+// ghost, and miss-path mutex. A key maps to exactly one shard for life.
+type shard[K comparable] struct {
+	mu          sync.Mutex // guards the queues, the ghost, and tombstones
+	capacity    uint64
+	smallTarget uint64
+	small       ring[K]
+	main        ring[K]
+	ghost       *ghost.Queue
+	// ghostSizedFor is the main-queue length the ghost was last sized to;
+	// Resize runs only when the current length drifts ≥1/8 from it.
+	ghostSizedFor int
+	// pending carries tombstone hints from the lock-free delete path to
+	// the next lock holder; tombstones counts drained hints not yet swept.
+	pending    *lockfree.Ring
+	tombstones int
+	shardTuning
+	used atomic.Int64 // resident size units owned by this shard
+	live atomic.Int64 // resident (non-dead) entries owned by this shard
+}
+
+// shardTuning is the per-shard numbers the two fronts choose differently.
+type shardTuning struct {
+	// evictSlack is the batch-eviction watermark: eviction overshoots by
+	// this much so the following inserts skip the scan.
+	evictSlack uint64
+	// sweepAt tombstones trigger a batched sweep of both queues.
+	sweepAt int
+	// ghostEntries sizes the ghost table before |M| is known.
+	ghostEntries int
+}
+
+type entry[K comparable] struct {
+	hash    uint64
+	key     K
+	size    uint32
+	value   atomic.Pointer[[]byte] // replaced atomically so lock-free readers never race
+	expires atomic.Int64           // unix nanoseconds; 0 = no TTL
+	freq    atomic.Int32
+	dead    atomic.Bool // deleted or superseded; skipped at eviction scan
+	// val backs the initial value pointer so a fresh insert costs a single
+	// allocation; in-place replacements allocate a new slice header.
+	val []byte
+}
+
+// ring is a slice-backed FIFO of entries with size accounting, guarded by
+// the shard mutex.
+type ring[K comparable] struct {
+	buf   []*entry[K]
+	head  int
+	bytes uint64 // total size of queued entries, dead ones included
+}
+
+func (q *ring[K]) push(e *entry[K]) {
+	q.buf = append(q.buf, e)
+	q.bytes += uint64(e.size)
+}
+
+func (q *ring[K]) pop() *entry[K] {
+	if q.head >= len(q.buf) {
+		return nil
+	}
+	e := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	q.bytes -= uint64(e.size)
+	// Compact occasionally so memory stays bounded.
+	if q.head > 1024 && q.head*2 > len(q.buf) {
+		q.buf = append(q.buf[:0], q.buf[q.head:]...)
+		q.head = 0
+	}
+	return e
+}
+
+func (q *ring[K]) len() int { return len(q.buf) - q.head }
+
+// sweep removes tombstoned entries in one pass, preserving FIFO order.
+// Dead entries are otherwise reclaimed only when an eviction scan reaches
+// them; sweeping in batch keeps delete-heavy workloads from dragging dead
+// weight through every scan.
+func (q *ring[K]) sweep() {
+	w := q.head
+	for i := q.head; i < len(q.buf); i++ {
+		if e := q.buf[i]; !e.dead.Load() {
+			q.buf[w] = e
+			w++
+		} else {
+			q.bytes -= uint64(e.size)
+		}
+	}
+	for i := w; i < len(q.buf); i++ {
+		q.buf[i] = nil
+	}
+	q.buf = q.buf[:w]
+}
+
+const (
+	ccMaxFreq = 3
+
+	// maxShards bounds the shard count (matches the index shard count).
+	maxShards = 64
+
+	// pendingRingCap bounds the per-shard tombstone-hint ring; a dropped
+	// hint only delays a sweep.
+	pendingRingCap = 256
+)
+
+// init builds the shards. shards is rounded up to a power of two and
+// capped at maxShards; <= 0 picks a default from GOMAXPROCS, shrunk until
+// every shard holds at least minShard. tune gives each shard's
+// front-specific numbers from its capacity.
+func (m *machine[K]) init(capacity uint64, shards int, minShard uint64, smallRatio float64, tune func(shardCapacity uint64) shardTuning) {
+	n := shards
+	if n <= 0 {
+		n = max(runtime.GOMAXPROCS(0), 8)
+	}
+	p := 1
+	for p < n && p < maxShards {
+		p <<= 1
+	}
+	n = p
+	if shards <= 0 {
+		for n > 1 && capacity/uint64(n) < minShard {
+			n >>= 1
+		}
+	}
+	for n > 1 && capacity/uint64(n) < 1 {
+		n >>= 1
+	}
+	if smallRatio <= 0 || smallRatio >= 1 {
+		smallRatio = 0.10
+	}
+	m.capacity = capacity
+	m.index = newShardedIndex[*entry[K]]()
+	m.shards = make([]*shard[K], n)
+	m.shardMask = uint64(n - 1)
+	m.now = func() int64 { return time.Now().UnixNano() }
+	base, extra := capacity/uint64(n), capacity%uint64(n)
+	for i := range m.shards {
+		c := base
+		if uint64(i) < extra {
+			c++
+		}
+		t := tune(c)
+		m.shards[i] = &shard[K]{
+			capacity:    c,
+			smallTarget: max(uint64(float64(c)*smallRatio), 1),
+			ghost:       ghost.New(t.ghostEntries),
+			pending:     lockfree.NewRing(pendingRingCap),
+			shardTuning: t,
+		}
+	}
+}
+
+// Shards returns the queue shard count.
+func (m *machine[K]) Shards() int { return len(m.shards) }
+
+func (m *machine[K]) shardOf(hash uint64) *shard[K] {
+	return m.shards[mix64(hash)&m.shardMask]
+}
+
+// usedBytes reads the shard's resident size, clamping the transient
+// negative readings that the lock-free retire path can produce (an entry
+// retired between index publication and queue insertion is debited
+// before it is credited).
+func (s *shard[K]) usedBytes() uint64 {
+	return uint64(max(s.used.Load(), 0))
+}
+
+// lookup finds the live entry for key, if any.
+func (m *machine[K]) lookup(hash uint64, key K) *entry[K] {
+	e, ok := m.index.get(hash)
+	if !ok || e.dead.Load() || e.key != key {
+		return nil
+	}
+	return e
+}
+
+// touch is the capped atomic increment: most requests for popular
+// objects are already at the cap and perform no write at all (§4.3.1).
+func (e *entry[K]) touch() {
+	for {
+		f := e.freq.Load()
+		if f >= ccMaxFreq || e.freq.CompareAndSwap(f, f+1) {
+			return
+		}
+	}
+}
+
+// get is the lock-free hit path: hash lookup, key verification, lazy TTL
+// check, capped atomic frequency bump.
+func (m *machine[K]) get(hash uint64, key K) ([]byte, bool) {
+	e := m.lookup(hash, key)
+	if e == nil {
+		return nil, false
+	}
+	if exp := e.expires.Load(); exp != 0 && m.now() > exp {
+		m.expire(e)
+		return nil, false
+	}
+	v := e.value.Load()
+	e.touch()
+	return *v, true
+}
+
+// getStale returns key's resident value and absolute expiry (0 = no TTL)
+// without the lazy TTL reap: an expired entry is returned as-is, so the
+// stale-while-revalidate path can serve it while a lease holder refills.
+// The frequency bump matches get — a stale serve is still evidence of
+// reuse, and the refill lands as an in-place replacement of this entry.
+func (m *machine[K]) getStale(hash uint64, key K) ([]byte, int64, bool) {
+	e := m.lookup(hash, key)
+	if e == nil {
+		return nil, 0, false
+	}
+	v := e.value.Load()
+	exp := e.expires.Load()
+	e.touch()
+	return *v, exp, true
+}
+
+// contains reports whether key is resident and unexpired, without
+// touching its frequency.
+func (m *machine[K]) contains(hash uint64, key K) bool {
+	e := m.lookup(hash, key)
+	if e == nil {
+		return false
+	}
+	if exp := e.expires.Load(); exp != 0 && m.now() > exp {
+		m.expire(e)
+		return false
+	}
+	return true
+}
+
+func newEntry[K comparable](hash uint64, key K, value []byte, size uint32, expiresAt int64) *entry[K] {
+	e := &entry[K]{hash: hash, key: key, size: size, val: value}
+	e.value.Store(&e.val)
+	e.expires.Store(expiresAt)
+	return e
+}
+
+// set inserts or replaces the value for key. It returns false when the
+// entry is larger than its shard's capacity (the stale copy, if any, is
+// dropped so the caller can never read the old value back).
+func (m *machine[K]) set(hash uint64, key K, value []byte, size uint32, expiresAt int64) bool {
+	s := m.shardOf(hash)
+	if uint64(size) > s.capacity {
+		if e, ok := m.index.get(hash); ok && e.key == key {
+			if m.retire(e) {
+				m.oversized.Add(1)
+			}
+		}
+		return false
+	}
+	e := newEntry(hash, key, value, size, expiresAt)
+	for {
+		old, loaded := m.index.putIfAbsent(hash, e)
+		if !loaded {
+			break // we own the insertion
+		}
+		if m.onEvict == nil && !old.dead.Load() && old.key == key && old.size == size {
+			// Same key, same charge: replace in place, lock-free. The
+			// replacement is logically a new object: it re-earns its
+			// reinsertion instead of inheriting the old value's popularity.
+			// With an eviction hook this shortcut is disabled — overwrites
+			// must serialize on the shard mutex so they cannot overtake an
+			// in-flight hook call (demotion) for the old value.
+			v := value
+			old.value.Store(&v)
+			old.expires.Store(expiresAt)
+			old.freq.Store(0)
+			return true
+		}
+		// Dead (mid-eviction), a hash collision with another key, a size
+		// change, or a hooked overwrite: retire the old mapping and insert
+		// fresh through the locked path.
+		m.retire(old)
+		m.index.deleteIf(hash, old) // clear a mapping retired by a racing caller
+	}
+	s.mu.Lock()
+	s.insertLocked(m, e)
+	s.mu.Unlock()
+	return true
+}
+
+// add inserts value only if key is not resident (the second-tier
+// promotion path: a concurrent set must win over a stale promote). It
+// returns whether the insert happened.
+func (m *machine[K]) add(hash uint64, key K, value []byte, size uint32, expiresAt int64) bool {
+	s := m.shardOf(hash)
+	if uint64(size) > s.capacity {
+		return false
+	}
+	e := newEntry(hash, key, value, size, expiresAt)
+	for {
+		old, loaded := m.index.putIfAbsent(hash, e)
+		if !loaded {
+			break
+		}
+		if !old.dead.Load() {
+			// Resident — or a live hash collision with another key, which
+			// keeps its slot: add is best-effort by contract.
+			return false
+		}
+		m.index.deleteIf(hash, old)
+	}
+	s.mu.Lock()
+	s.insertLocked(m, e)
+	s.mu.Unlock()
+	return true
+}
+
+// del removes key if present and reports whether it was. Without an
+// eviction hook it takes no locks: the queue slot is tombstoned and
+// lazily reclaimed, which is how a ring-buffer deployment behaves (§4.2).
+// With a hook it serializes on the shard mutex so it cannot overtake an
+// in-flight hook call for the same key.
+func (m *machine[K]) del(hash uint64, key K) bool {
+	e, ok := m.index.get(hash)
+	if !ok || e.key != key {
+		return false
+	}
+	if m.onEvict != nil {
+		s := m.shardOf(hash)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	if m.retire(e) {
+		m.deletes.Add(1)
+		return true
+	}
+	return false
+}
+
+// retire kills e (delete or supersession): the index mapping is cleared
+// and the queue slot tombstoned, to be reclaimed when an eviction scan
+// reaches it or a batched sweep collects it. Reports whether this caller
+// won the kill race.
+func (m *machine[K]) retire(e *entry[K]) bool {
+	if e.dead.Swap(true) {
+		return false
+	}
+	m.index.deleteIf(e.hash, e)
+	s := m.shardOf(e.hash)
+	s.used.Add(-int64(e.size))
+	s.live.Add(-1)
+	// Hint the next lock holder; a full ring just delays the sweep.
+	s.pending.TryPush(e.hash)
+	return true
+}
+
+// expire retires a TTL-expired entry, counting it as an expiry rather
+// than an eviction. The eviction hook is not called: expiry is not a
+// demotion point (the second tier tracks TTLs itself).
+func (m *machine[K]) expire(e *entry[K]) {
+	if m.retire(e) {
+		m.expired.Add(1)
+	}
+}
+
+// insertLocked queues a fresh entry: into M when the ghost remembers its
+// hash (counted as a ghost reinsert), into S otherwise. The caller holds
+// the shard mutex.
+func (s *shard[K]) insertLocked(m *machine[K], e *entry[K]) {
+	s.makeRoomLocked(m, e.size)
+	toMain := s.ghost.Contains(e.hash)
+	if toMain {
+		s.ghost.Remove(e.hash)
+		m.ghostReinserts.Add(1)
+	}
+	s.pushLocked(e, toMain)
+}
+
+// makeRoomLocked absorbs pending tombstones and, when an entry of the
+// given size would overflow the shard, evicts down to the low watermark.
+func (s *shard[K]) makeRoomLocked(m *machine[K], size uint32) {
+	s.drainPendingLocked()
+	if s.usedBytes()+uint64(size) > s.capacity {
+		s.evictLocked(m, uint64(size))
+	}
+}
+
+// pushLocked appends e to the chosen queue and charges its size.
+func (s *shard[K]) pushLocked(e *entry[K], toMain bool) {
+	if toMain {
+		s.main.push(e)
+	} else {
+		s.small.push(e)
+	}
+	s.used.Add(int64(e.size))
+	s.live.Add(1)
+}
+
+// drainPendingLocked absorbs tombstone hints published by the lock-free
+// delete path and, once enough have accumulated, sweeps dead entries out
+// of both queues in one batch. Called with the shard mutex held.
+func (s *shard[K]) drainPendingLocked() {
+	if s.pending.Len() == 0 {
+		return
+	}
+	s.tombstones += s.pending.Drain(func(uint64) {}, pendingRingCap)
+	if s.tombstones < s.sweepAt {
+		return
+	}
+	s.tombstones = 0
+	s.small.sweep()
+	s.main.sweep()
+}
+
+// evictLocked evicts down to the low watermark (capacity − incoming −
+// slack) so the following inserts skip the scan, then re-checks the
+// ghost size once for the whole batch.
+func (s *shard[K]) evictLocked(m *machine[K], incoming uint64) {
+	target := uint64(0)
+	if incoming < s.capacity {
+		target = s.capacity - incoming
+	}
+	low := uint64(0)
+	if s.evictSlack < target {
+		low = target - s.evictSlack
+	}
+	for s.usedBytes() > low {
+		if !s.evictOneLocked(m) {
+			break
+		}
+	}
+	s.maybeResizeGhostLocked()
+}
+
+// maybeResizeGhostLocked tracks |G| = |M| (§4.2) lazily: the ghost is
+// resized only when the main queue length has drifted at least 1/8 from
+// the length it was last sized to.
+func (s *shard[K]) maybeResizeGhostLocked() {
+	n := s.main.len()
+	d := n - s.ghostSizedFor
+	if d < 0 {
+		d = -d
+	}
+	if d*8 >= max(s.ghostSizedFor, 16) {
+		s.ghost.Resize(max(n, 16))
+		s.ghostSizedFor = n
+	}
+}
+
+func (s *shard[K]) evictOneLocked(m *machine[K]) bool {
+	if s.small.bytes >= s.smallTarget || s.main.len() == 0 {
+		return s.evictFromSmallLocked(m)
+	}
+	return s.evictFromMainLocked(m)
+}
+
+func (s *shard[K]) evictFromSmallLocked(m *machine[K]) bool {
+	for {
+		e := s.small.pop()
+		if e == nil {
+			return s.evictFromMainLocked(m)
+		}
+		if e.dead.Load() {
+			continue // deleted while queued; its size is already freed
+		}
+		if e.freq.Load() > 1 {
+			e.freq.Store(0)
+			s.main.push(e)
+			continue
+		}
+		freq := int(e.freq.Load())
+		if e.dead.Swap(true) {
+			continue // lost the race to a concurrent delete
+		}
+		s.ghost.Insert(e.hash)
+		m.evictSmall.Add(1)
+		s.finishEvictLocked(m, e, freq)
+		return true
+	}
+}
+
+func (s *shard[K]) evictFromMainLocked(m *machine[K]) bool {
+	for {
+		e := s.main.pop()
+		if e == nil {
+			return false
+		}
+		if e.dead.Load() {
+			continue
+		}
+		if f := e.freq.Load(); f > 0 {
+			e.freq.Store(f - 1)
+			s.main.push(e)
+			continue
+		}
+		if e.dead.Swap(true) {
+			continue
+		}
+		m.evictMain.Add(1)
+		s.finishEvictLocked(m, e, 0)
+		return true
+	}
+}
+
+// finishEvictLocked settles one eviction: index removal, accounting, and
+// the hook. The caller holds the shard mutex and has won the dead swap.
+func (s *shard[K]) finishEvictLocked(m *machine[K], e *entry[K], freq int) {
+	m.index.deleteIf(e.hash, e)
+	s.used.Add(-int64(e.size))
+	s.live.Add(-1)
+	if m.onEvict != nil {
+		m.onEvict(e.key, *e.value.Load(), e.size, freq, e.expires.Load())
+	}
+}
+
+// Len returns the number of resident entries.
+func (m *machine[K]) Len() int {
+	var n int64
+	for _, s := range m.shards {
+		n += s.live.Load()
+	}
+	return int(max(n, 0))
+}
+
+// Used returns the resident size (bytes for KV, objects for S3FIFO).
+func (m *machine[K]) Used() uint64 {
+	var n int64
+	for _, s := range m.shards {
+		n += s.used.Load()
+	}
+	return uint64(max(n, 0))
+}

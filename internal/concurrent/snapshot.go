@@ -8,23 +8,31 @@
 // already knew; replaying metadata skips that.
 package concurrent
 
-// MetaRecord is one record of the KV's metadata export: either a
-// resident entry with its queue position and frequency, or one ghost
-// fingerprint with its owning shard.
+// MetaQueue says which S3-FIFO queue a snapshot entry was resident in.
+type MetaQueue uint8
+
+const (
+	MetaSmall MetaQueue = 0
+	MetaMain  MetaQueue = 1
+)
+
+// MetaRecord is one record of an engine's metadata snapshot: either a
+// resident entry (with value, TTL, queue membership, and frequency) or
+// one ghost-queue fingerprint (with the owning shard's index). The
+// snapshot v2 file format (cache/snapshot.go) serializes these records
+// verbatim.
 type MetaRecord struct {
 	// Ghost distinguishes the two record kinds.
 	Ghost bool
 
-	// Entry fields (Ghost false). Main reports which queue held the
-	// entry; false means the small queue.
+	// Entry fields (Ghost false).
 	Key       string
 	Value     []byte
 	ExpiresAt int64
 	Freq      int
-	Main      bool
+	Queue     MetaQueue
 
-	// Ghost fields (Ghost true): the fingerprint and the index of the
-	// shard whose ghost queue held it.
+	// Ghost fields (Ghost true).
 	Shard       uint32
 	Fingerprint uint32
 }
@@ -38,7 +46,7 @@ type MetaRecord struct {
 // queue's relative order is preserved per record stream).
 func (c *KV) SnapshotMeta(fn func(MetaRecord) bool) {
 	nowNanos := c.now()
-	emit := func(e *kentry, main bool) bool {
+	emit := func(e *entry[string], queue MetaQueue) bool {
 		if e.dead.Load() {
 			return true
 		}
@@ -51,17 +59,17 @@ func (c *KV) SnapshotMeta(fn func(MetaRecord) bool) {
 			Value:     *e.value.Load(),
 			ExpiresAt: exp,
 			Freq:      int(e.freq.Load()),
-			Main:      main,
+			Queue:     queue,
 		})
 	}
 	for si, s := range c.shards {
 		s.mu.Lock()
 		ok := true
 		for i := s.small.head; ok && i < len(s.small.buf); i++ {
-			ok = emit(s.small.buf[i], false)
+			ok = emit(s.small.buf[i], MetaSmall)
 		}
 		for i := s.main.head; ok && i < len(s.main.buf); i++ {
-			ok = emit(s.main.buf[i], true)
+			ok = emit(s.main.buf[i], MetaMain)
 		}
 		if ok {
 			shard := uint32(si)
@@ -108,9 +116,7 @@ func (c *KV) RestoreMeta(next func() (MetaRecord, bool)) {
 		if uint64(size) > s.capacity {
 			continue
 		}
-		e := &kentry{hash: h, key: rec.Key, size: size, val: rec.Value}
-		e.value.Store(&e.val)
-		e.expires.Store(rec.ExpiresAt)
+		e := newEntry(h, rec.Key, rec.Value, size, rec.ExpiresAt)
 		e.freq.Store(int32(rec.Freq))
 		for {
 			// A duplicate key (corrupt or adversarial input) must not
@@ -123,17 +129,8 @@ func (c *KV) RestoreMeta(next func() (MetaRecord, bool)) {
 			c.index.deleteIf(h, old)
 		}
 		s.mu.Lock()
-		s.drainPendingLocked()
-		if s.usedBytes()+uint64(size) > s.capacity {
-			s.evictLocked(c, uint64(size))
-		}
-		if rec.Main {
-			s.main.push(e)
-		} else {
-			s.small.push(e)
-		}
-		s.used.Add(int64(size))
-		s.live.Add(1)
+		s.makeRoomLocked(&c.machine, size)
+		s.pushLocked(e, rec.Queue == MetaMain)
 		s.mu.Unlock()
 	}
 	for _, s := range c.shards {

@@ -338,7 +338,7 @@ func TestOversizeRejected(t *testing.T) {
 }
 
 // TestConcurrentAccess drives the store from many goroutines; run under
-// -race via the Makefile test-flash target.
+// -race via make race.
 func TestConcurrentAccess(t *testing.T) {
 	s := openTest(t, t.TempDir(), 256<<10, 16<<10)
 	defer s.Close()

@@ -24,7 +24,7 @@ func newStampedeServer(t *testing.T, cfg AntiStampede) *Server {
 // TestCoalescerSingleFillSlot is the core concurrency property: N
 // goroutines racing acquire() for one key produce exactly one leader
 // and one fill slot, and after the leader's fill every waiter observes
-// the same value. Run under -race (make test-serve).
+// the same value. Run under -race (make race).
 func TestCoalescerSingleFillSlot(t *testing.T) {
 	const n = 64
 	co := newCoalescer(AntiStampede{}.withDefaults())
