@@ -40,11 +40,13 @@ bench-test:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Allocation gates for the binary-protocol hot path: the server's GET
-# hit/miss dispatch and the frame codec must be 0 allocs/op
-# (testing.AllocsPerOp assertions; skipped under -race, which allocates).
+# Allocation gates: the binary-protocol hot path (the server's GET
+# hit/miss dispatch and the frame codec must be 0 allocs/op) and the flash
+# tier (amortised 0 for Put and Delete, 1 for Get: the value it returns).
+# testing.AllocsPerOp/AllocsPerRun assertions; skipped under -race, which
+# allocates.
 bench-allocs:
-	$(GO) test -run='^TestAllocGate' -v ./internal/proto ./internal/server
+	$(GO) test -run='^TestAllocGate' -v ./internal/proto ./internal/server ./internal/flash
 
 # Telemetry-overhead gate: fails when a live metrics registry costs more
 # than 5% throughput vs the nil-registry fast path (DESIGN.md §9).

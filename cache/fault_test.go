@@ -85,6 +85,27 @@ func fill(t *testing.T, c *Cache, prefix string, n int) {
 	}
 }
 
+// fillUntil is fill that stops as soon as cond holds, and fails the test
+// if 4096 Sets (2 MiB) do not get there. The flash tier stages demotions
+// in memory, so a dead disk shows only once a staging buffer's worth of
+// them has been handed to it; the other tiers get there in a few Sets.
+// It returns the last key set, which is DRAM-resident.
+func fillUntil(t *testing.T, c *Cache, prefix, what string, cond func() bool) string {
+	t.Helper()
+	val := make([]byte, 512)
+	for i := 0; i < 4096; i++ {
+		key := fmt.Sprintf("%s-%d", prefix, i)
+		if !c.Set(key, val) {
+			t.Fatalf("Set(%s) rejected", key)
+		}
+		if cond() {
+			return key
+		}
+	}
+	t.Fatalf("%s: not after 4096 Sets: %+v", what, c.Stats())
+	return ""
+}
+
 // waitFor polls cond for up to 5s; the breaker's restore runs on a
 // background goroutine, so tests observe it asynchronously.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -112,10 +133,11 @@ func TestBreakerTripsToDRAMOnly(t *testing.T) {
 
 		// Kill the backend: every write and sync fails from here on.
 		breakIO()
-		fill(t, c, "sick", 32) // never surfaces an error to the caller
+		// Never surfaces an error to the caller.
+		last := fillUntil(t, c, "sick", "breaker trip", c.FlashDegraded)
 		st := c.Stats()
-		if !st.FlashDegraded || st.FlashBreakerTrips != 1 {
-			t.Fatalf("breaker did not trip: %+v", st)
+		if st.FlashBreakerTrips != 1 {
+			t.Fatalf("FlashBreakerTrips = %d, want 1: %+v", st.FlashBreakerTrips, st)
 		}
 		if st.FlashErrors < 3 {
 			t.Fatalf("FlashErrors = %d, want >= threshold", st.FlashErrors)
@@ -123,7 +145,7 @@ func TestBreakerTripsToDRAMOnly(t *testing.T) {
 
 		// Degraded serving: DRAM hits keep working, tier reads are
 		// bypassed, further demotions are dropped and counted.
-		if _, ok := c.Get("sick-31"); !ok {
+		if _, ok := c.Get(last); !ok {
 			t.Fatal("DRAM-resident key unreadable while degraded")
 		}
 		if _, ok := c.Get("warm-0"); ok {
@@ -151,10 +173,7 @@ func TestBreakerRestoresAndResumesDemotion(t *testing.T) {
 		fill(t, c, "warm", 32)
 
 		breakIO()
-		fill(t, c, "sick", 32)
-		if !c.FlashDegraded() {
-			t.Fatal("breaker did not trip")
-		}
+		fillUntil(t, c, "sick", "breaker trip", c.FlashDegraded)
 
 		healIO()
 		waitFor(t, "breaker restore", func() bool { return !c.FlashDegraded() })
@@ -190,10 +209,7 @@ func TestNoStaleServeAcrossOutage(t *testing.T) {
 		}
 
 		breakIO()
-		fill(t, c, "sick", 32)
-		if !c.FlashDegraded() {
-			t.Fatal("breaker did not trip")
-		}
+		fillUntil(t, c, "sick", "breaker trip", c.FlashDegraded)
 
 		// Supersede the tier copy while the backend is down, then evict
 		// the new value from DRAM too (the demotion is dropped — tier
@@ -214,18 +230,67 @@ func TestNoStaleServeAcrossOutage(t *testing.T) {
 	})
 }
 
+// TestReadErrorsTripBreaker: the breaker hears of failed tier reads, not
+// only failed writes. With the disk under the flash tier failing every
+// read, FlashBreakerThreshold Gets of demoted keys open the circuit — and
+// each of them is an ordinary miss to the caller.
+func TestReadErrorsTripBreaker(t *testing.T) {
+	inj := faultfs.New(faultfs.OS(), 1)
+	c, err := New(Config{
+		MaxBytes: 4 << 10, Shards: 1,
+		FlashDir: t.TempDir(), FlashBytes: 1 << 20, FlashSegmentBytes: 16 << 10, FlashFS: inj,
+		FlashBreakerThreshold: 3,
+		FlashRetryMin:         time.Hour, // no restore during this test
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	fill(t, c, "warm", 64)
+	if err := c.tier.t.Sync(); err != nil { // out of the staging area: a Get must read the disk
+		t.Fatal(err)
+	}
+	var demoted []string
+	for i := 0; i < 64; i++ {
+		if key := fmt.Sprintf("warm-%d", i); !c.engine.Contains(key) && c.tier.t.Contains(key) {
+			demoted = append(demoted, key)
+		}
+	}
+	if len(demoted) < 3 {
+		t.Fatalf("only %d keys on the tier after warmup", len(demoted))
+	}
+
+	inj.FailAfter(faultfs.OpRead, 0)
+	for i, key := range demoted[:3] {
+		if c.FlashDegraded() {
+			t.Fatalf("breaker open after %d read errors, threshold is 3", i)
+		}
+		if v, ok := c.Get(key); ok {
+			t.Fatalf("Get(%s) = %d bytes through a dead disk", key, len(v))
+		}
+	}
+	st := c.Stats()
+	if !st.FlashDegraded || st.FlashBreakerTrips != 1 || st.FlashErrors != 3 {
+		t.Fatalf("three read errors did not open the breaker: %+v", st)
+	}
+	// Degraded: DRAM serves, the tier is bypassed.
+	c.Set("fresh", []byte("v"))
+	if _, ok := c.Get("fresh"); !ok {
+		t.Fatal("DRAM-resident key unreadable while degraded")
+	}
+}
+
 func TestBreakerDisabled(t *testing.T) {
 	forEachFaultTier(t, func(t *testing.T, ft faultTier) {
 		c, breakIO, healIO := newFaultedCache(t, ft, Config{FlashBreakerThreshold: -1})
 		fill(t, c, "warm", 32)
 		breakIO()
-		fill(t, c, "sick", 64) // still no client-visible errors
+		// Still no client-visible errors, and the errors are counted.
+		fillUntil(t, c, "sick", "a counted tier error", func() bool { return c.Stats().FlashErrors > 0 })
+		fill(t, c, "sicker", 64)
 		st := c.Stats()
 		if st.FlashDegraded || st.FlashBreakerTrips != 0 {
 			t.Fatalf("disabled breaker tripped: %+v", st)
-		}
-		if st.FlashErrors == 0 {
-			t.Fatal("errors not counted with breaker disabled")
 		}
 		// A healthy write resets the consecutive count; serving continues.
 		healIO()
@@ -255,10 +320,7 @@ func TestCloseWhileDegraded(t *testing.T) {
 		}
 		fill(t, c, "warm", 32)
 		breakIO()
-		fill(t, c, "sick", 32)
-		if !c.FlashDegraded() {
-			t.Fatal("breaker did not trip")
-		}
+		fillUntil(t, c, "sick", "breaker trip", c.FlashDegraded)
 		done := make(chan error, 1)
 		go func() { done <- c.Close() }()
 		select {

@@ -27,8 +27,7 @@ func newFlashStoreTier(cfg Config) (Tier, error) {
 func (t *flashStoreTier) Kind() string { return "flash" }
 
 func (t *flashStoreTier) Get(key string) ([]byte, int64, bool, error) {
-	v, expires, ok := t.store.Get(key)
-	return v, expires, ok, nil
+	return t.store.Lookup(key)
 }
 
 func (t *flashStoreTier) Contains(key string) bool { return t.store.Contains(key) }

@@ -100,48 +100,50 @@ func NewZipfWorkload(objects, n int, alpha float64, valueSize int, seed int64) *
 	return &Workload{Keys: keys, Value: value}
 }
 
+// warmStride is how many requests of the workload the Warm workers replay
+// between two barriers.
+const warmStride = 1 << 11
+
 // Warm pre-populates the cache by replaying the workload once (on-demand
 // fill), so measurements start from a steady state. The replay is
-// parallelized across workers partitioned by key range — each key is owned
-// by exactly one worker, so the per-key get-then-set never races with
-// itself and the fill matches a serial replay up to interleaving.
+// parallelized across workers that split the keys by residue — each key is
+// owned by exactly one worker, so the per-key get-then-set never races
+// with itself — and they advance through the workload a stride at a time,
+// in step. A worker that ran ahead and finished would leave its hot keys
+// untouched while the others kept inserting their cold ones, and the
+// parallel fill would lose a hot head the serial one keeps; a stride of
+// cold inserts is too short to do that.
 func Warm(c Cache, w *Workload) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 16 {
 		workers = 16
 	}
 	if workers < 2 || len(w.Keys) < 1<<14 {
-		warmRange(c, w, 0, ^uint64(0))
+		warmResidue(c, w.Keys, w.Value, 0, 1)
 		return
 	}
-	var maxKey uint64
-	for _, k := range w.Keys {
-		if k > maxKey {
-			maxKey = k
+	for start := 0; start < len(w.Keys); start += warmStride {
+		keys := w.Keys[start:min(start+warmStride, len(w.Keys))]
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				warmResidue(c, keys, w.Value, uint64(i), uint64(workers))
+			}(i)
 		}
+		wg.Wait()
 	}
-	// span*workers > maxKey, so the worker ranges tile the full key space.
-	span := maxKey/uint64(workers) + 1
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo := uint64(i) * span
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			warmRange(c, w, lo, lo+span)
-		}()
-	}
-	wg.Wait()
 }
 
-// warmRange fills keys in [lo, hi).
-func warmRange(c Cache, w *Workload, lo, hi uint64) {
-	for _, k := range w.Keys {
-		if k < lo || k >= hi {
+// warmResidue fills those of keys that are r modulo m.
+func warmResidue(c Cache, keys []uint64, value []byte, r, m uint64) {
+	for _, k := range keys {
+		if k%m != r {
 			continue
 		}
 		if _, ok := c.Get(k); !ok {
-			c.Set(k, w.Value)
+			c.Set(k, value)
 		}
 	}
 }

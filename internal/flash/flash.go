@@ -13,9 +13,23 @@
 // tail of the newest segment is truncated away; deletes persist as
 // tombstone records.
 //
-// The store is safe for concurrent use. All operations take one store
-// mutex; callers that need more parallelism shard above this package the
-// same way the DRAM cache shards its policy instances.
+// The store is safe for concurrent use. One store mutex guards the index
+// and the log's bookkeeping, and the foreground does only memory work
+// under it: an append encodes its record in place into a small fixed
+// staging buffer, and one background goroutine, the sealer, writes staged
+// chunks to the file, syncs sealed segments, creates the next one and
+// unlinks reclaimed ones, all without the mutex (stage.go). Get probes the
+// index under the mutex and reads the file outside it.
+//
+// Durability: a cache may forget, so a fresh record may sit staged and is
+// lost by a crash; but a record that supersedes what the log already says
+// about its key (a tombstone, or a Put over a live key) is written
+// through, with everything staged before it, before the call returns, so
+// a crash can never bring a deleted or superseded value back. Sync and
+// Close drain the staging area. A failed background write is sticky: the
+// records it covered leave the index, the next Put, Delete or Sync
+// returns the error, and every call runs its I/O inline (so its outcome
+// is its own) until one succeeds.
 package flash
 
 import (
@@ -29,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"s3fifo/internal/faultfs"
@@ -36,6 +51,10 @@ import (
 
 // ErrClosed is returned by mutating operations on a closed store.
 var ErrClosed = errors.New("flash: store closed")
+
+// ErrCorrupt is returned by Lookup when a record read back from its
+// segment fails its magic or checksum.
+var ErrCorrupt = errors.New("flash: record failed its checksum")
 
 // unixNow is the store's clock; Store.now indirects it for TTL tests.
 func unixNow() int64 { return time.Now().UnixNano() }
@@ -140,8 +159,16 @@ func (r rec) size() uint64 { return headerSize + uint64(r.klen) + uint64(r.vlen)
 type segment struct {
 	seq  uint64
 	path string
-	f    faultfs.File
+	// f is nil from the roll that makes the segment until the sealer has
+	// created its file; every record of such a segment is still staged.
+	f faultfs.File
+	// size is the segment's logical length: bytes in the file plus bytes
+	// staged for it.
 	size uint64
+	// readers counts Lookups reading f outside the store mutex; a retired
+	// segment is closed and unlinked only once it is zero.
+	readers atomic.Int32
+	retired atomic.Bool
 }
 
 // Store is a log-structured key-value store. Create one with Open.
@@ -156,6 +183,14 @@ type Store struct {
 	liveBytes uint64
 	stats     Stats
 	closed    bool
+
+	stager // the staging area and the sealer's inbox (stage.go)
+
+	// reclaimBuf is the memory every reclamation reads its victim into;
+	// reclaiming keeps a second caller out while the first one waits for
+	// the sealer with the mutex released.
+	reclaimBuf []byte
+	reclaiming bool
 
 	// now is indirected for TTL tests.
 	now func() int64
@@ -176,6 +211,8 @@ func Open(opts Options) (*Store, error) {
 		index: make(map[string]rec),
 		now:   unixNow,
 	}
+	s.stage, s.spare = make([]byte, 0, stageBytes), make([]byte, 0, stageBytes)
+	s.wake.L, s.idle.L = &s.mu, &s.mu
 	// Fast path: a manifest from a clean Close rebuilds the index without
 	// scanning the log; any mismatch falls back to the full scan.
 	if !s.loadManifest() {
@@ -184,11 +221,14 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 	if len(s.segs) == 0 {
-		if err := s.rollLocked(); err != nil {
+		s.rollLocked()
+		if _, err := s.ioStep(false); err != nil {
 			s.closeAll()
 			return nil, err
 		}
 	}
+	s.sealerDone = make(chan struct{})
+	go s.sealer() // Close stops it
 	return s, nil
 }
 
@@ -324,36 +364,87 @@ func (s *Store) dropIndex(key string) {
 }
 
 func (s *Store) closeAll() {
-	for _, seg := range s.segs {
-		seg.f.Close()
-	}
-}
-
-// rollLocked seals the active segment — syncing it to stable storage, the
-// sync-on-seal durability point — and opens a new one. Rolling is lazy
-// (appendRecord rolls when the active segment is full, rather than the
-// append that filled it), so a failed seal or open leaves the store in a
-// consistent state and is simply retried by the next append.
-func (s *Store) rollLocked() error {
-	if len(s.segs) > 0 {
-		if err := s.active().f.Sync(); err != nil {
-			return fmt.Errorf("flash: seal %s: %w", s.active().path, err)
+	for _, segs := range [][]*segment{s.retired, s.segs} {
+		for _, seg := range segs {
+			if seg.f != nil {
+				seg.f.Close()
+			}
 		}
 	}
-	path := segPath(s.opts.Dir, s.nextSeq)
-	f, err := s.opts.FS.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("flash: %w", err)
-	}
-	s.nextSeq++
-	s.segs = append(s.segs, &segment{seq: s.nextSeq - 1, path: path, f: f})
-	return nil
 }
 
 func (s *Store) active() *segment { return s.segs[len(s.segs)-1] }
 
-// appendRecord writes one record to the active segment and returns its
-// location. gc marks reclamation rewrites for the stats split.
+// encodeRecord writes one record into dst, which is exactly its size.
+func encodeRecord(dst []byte, key string, value []byte, expires int64, flags uint8) {
+	binary.LittleEndian.PutUint32(dst[0:4], recordMagic)
+	dst[4] = flags
+	binary.LittleEndian.PutUint16(dst[5:7], uint16(len(key)))
+	binary.LittleEndian.PutUint32(dst[7:11], uint32(len(value)))
+	binary.LittleEndian.PutUint64(dst[11:19], uint64(expires))
+	copy(dst[headerSize:], key)
+	copy(dst[headerSize+len(key):], value)
+	binary.LittleEndian.PutUint32(dst[19:23], recordCRC(dst))
+}
+
+// recordCRC is the checksum of one whole record: everything after the
+// magic except the checksum field itself.
+func recordCRC(buf []byte) uint32 {
+	crc := crc32.ChecksumIEEE(buf[4:19])
+	return crc32.Update(crc, crc32.IEEETable, buf[headerSize:])
+}
+
+// makeRoomLocked readies the store for an append of total bytes: a live
+// active segment with room in it, and room in the staging buffer. In the
+// steady state it touches nothing. It waits for the sealer where it has
+// to, so the mutex may be released and retaken inside.
+func (s *Store) makeRoomLocked(total int) error {
+	for {
+		switch {
+		case s.closed:
+			return ErrClosed
+		case s.ioErr != nil:
+			// The sealer is parked: run what it left, and the roll if one is
+			// due, inline. The caller writes its own record through.
+			if err := s.flushLocked(); err != nil {
+				return err
+			}
+			if s.ioErr == nil {
+				continue // that flush had bytes to write: the disk is back
+			}
+			if s.active().size < s.opts.SegmentBytes {
+				return nil
+			}
+			s.rollLocked()
+		case s.active().size >= s.opts.SegmentBytes:
+			// Lazy roll, by the append after the one that filled the segment,
+			// and only once the sealer is through with the previous one.
+			if s.busy || s.pendingLocked() {
+				s.waitIdleLocked()
+				continue
+			}
+			s.rollLocked()
+			s.wake.Signal()
+		case total > cap(s.stage):
+			return s.flushLocked() // written directly; nothing may be staged in front
+		case len(s.stage)+total > cap(s.stage):
+			// Buffer full: it goes to the sealer as soon as the other one is back.
+			if s.flight.seg != nil {
+				s.waitWrittenLocked()
+				continue
+			}
+			s.handoffLocked()
+			s.wake.Signal()
+		default:
+			return nil
+		}
+	}
+}
+
+// appendRecord stages one record at the end of the log and returns its
+// location. gc marks reclamation rewrites for the stats split. Bytes are
+// counted as written here, when they join the log, not when they reach
+// the file.
 func (s *Store) appendRecord(key string, value []byte, expires int64, flags uint8, gc bool) (rec, error) {
 	if len(key) == 0 || len(key) >= MaxKeyLen {
 		return rec{}, fmt.Errorf("flash: key length %d out of range", len(key))
@@ -361,34 +452,24 @@ func (s *Store) appendRecord(key string, value []byte, expires int64, flags uint
 	if len(value) > MaxValueLen {
 		return rec{}, fmt.Errorf("flash: value too large (%d bytes)", len(value))
 	}
-	if s.closed {
-		return rec{}, ErrClosed
-	}
-	// Lazy roll: seal-and-roll before this append when the previous one
-	// filled the active segment, so a roll failure (seal sync or segment
-	// create) is retried here on every append until the disk recovers.
-	// len(segs) == 0 only after a Reset whose roll failed.
-	if len(s.segs) == 0 || s.active().size >= s.opts.SegmentBytes {
-		if err := s.rollLocked(); err != nil {
-			return rec{}, err
-		}
-	}
 	total := headerSize + len(key) + len(value)
-	buf := make([]byte, total)
-	binary.LittleEndian.PutUint32(buf[0:4], recordMagic)
-	buf[4] = flags
-	binary.LittleEndian.PutUint16(buf[5:7], uint16(len(key)))
-	binary.LittleEndian.PutUint32(buf[7:11], uint32(len(value)))
-	binary.LittleEndian.PutUint64(buf[11:19], uint64(expires))
-	copy(buf[headerSize:], key)
-	copy(buf[headerSize+len(key):], value)
-	crc := crc32.ChecksumIEEE(buf[4:19])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[headerSize:])
-	binary.LittleEndian.PutUint32(buf[19:23], crc)
-
+	if err := s.makeRoomLocked(total); err != nil {
+		return rec{}, err
+	}
 	seg := s.active()
-	if _, err := seg.f.WriteAt(buf, int64(seg.size)); err != nil {
-		return rec{}, fmt.Errorf("flash: append: %w", err)
+	if total <= cap(s.stage) {
+		n := len(s.stage)
+		s.stage = s.stage[:n+total]
+		encodeRecord(s.stage[n:], key, value, expires, flags)
+	} else {
+		// Too big to stage: makeRoomLocked has flushed, so the record goes
+		// straight to the file behind everything before it.
+		buf := make([]byte, total)
+		encodeRecord(buf, key, value, expires, flags)
+		if _, err := seg.f.WriteAt(buf, int64(seg.size)); err != nil {
+			s.failLocked(fmt.Errorf("flash: append: %w", err), false)
+			return rec{}, s.ioErr
+		}
 	}
 	r := rec{
 		seg: seg.seq, off: seg.size,
@@ -404,7 +485,10 @@ func (s *Store) appendRecord(key string, value []byte, expires int64, flags uint
 }
 
 // Put stores value under key with an optional absolute expiry (unix
-// nanoseconds; 0 = none), evicting old segments as needed.
+// nanoseconds; 0 = none), evicting old segments as needed. A Put of a key
+// the store does not hold is staged: it costs a copy, and a crash before
+// the sealer has written it forgets it. A Put over a live key supersedes
+// a record that may already be in the file, so it is written through.
 func (s *Store) Put(key string, value []byte, expires int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -413,7 +497,18 @@ func (s *Store) Put(key string, value []byte, expires int64) error {
 		return err
 	}
 	s.stats.Puts++
+	_, supersedes := s.index[key]
 	s.setIndex(key, r)
+	// Written through: a record that supersedes one the file may hold; any
+	// record while a reclaimed segment awaits its unlink, because that file
+	// may still hold an older value of this key, which a crash would index
+	// again unless the newer one is in the log behind it; and every record
+	// in the sticky-error state.
+	if supersedes || len(s.retired) > 0 || s.ioErr != nil {
+		if err := s.flushLocked(); err != nil {
+			return err
+		}
+	}
 	return s.reclaimLocked()
 }
 
@@ -421,16 +516,37 @@ func (s *Store) Put(key string, value []byte, expires int64) error {
 // oldest-first. Live records that were read while on flash are reinserted
 // at the head of the log (access bit cleared, so a record survives at
 // most one generation without a new read); cold or superseded records are
-// dropped.
+// dropped. The victim is read inline, into memory every reclamation
+// reuses, so what is kept and dropped depends only on the order of calls;
+// reinsertions are staged like any other append, and the victim's close
+// and unlink are the sealer's. The victim stays listed until it has been
+// walked: an error on the way leaves it to the next reclamation whole.
 func (s *Store) reclaimLocked() error {
+	if s.reclaiming {
+		return nil // a reinsertion's wait let this caller in; the first one finishes the job
+	}
+	s.reclaiming = true
+	defer func() {
+		s.reclaiming = false
+		s.idle.Broadcast() // Reset waits for this
+	}()
 	for s.diskUsed > s.opts.MaxBytes && len(s.segs) > 1 {
 		victim := s.segs[0]
-		data := make([]byte, victim.size)
+		if victim == s.flight.seg {
+			// Only when a record or two fill the whole budget: the victim's
+			// tail must be in its file before the file is read.
+			if err := s.flushLocked(); err != nil {
+				return err
+			}
+			continue
+		}
+		if uint64(cap(s.reclaimBuf)) < victim.size {
+			s.reclaimBuf = make([]byte, victim.size)
+		}
+		data := s.reclaimBuf[:victim.size]
 		if _, err := victim.f.ReadAt(data, 0); err != nil {
 			return fmt.Errorf("flash: reclaim read %s: %w", victim.path, err)
 		}
-		s.segs = s.segs[1:]
-		s.diskUsed -= victim.size
 		now := s.now()
 
 		off := uint64(0)
@@ -443,13 +559,23 @@ func (s *Store) reclaimLocked() error {
 				break // scan damage; everything behind is unreachable anyway
 			}
 			body := data[off+headerSize : off+total]
-			key := string(body[:klen])
-			r, live := s.index[key]
+			kb := body[:klen]
+			r, live := s.index[string(kb)]
 			if live && r.seg == victim.seq && r.off == off {
 				switch {
 				case r.expires != 0 && r.expires <= now:
-					s.dropIndex(key)
+					s.dropIndex(string(kb))
 				case r.freq > 0:
+					// Making room may wait for the sealer with the mutex released,
+					// and a Delete or Put of this key may get in: a copy appended
+					// after that would be the newest record of the key in the log.
+					if err := s.makeRoomLocked(int(total)); err != nil {
+						return err
+					}
+					if cur := s.index[string(kb)]; cur.seg != r.seg || cur.off != r.off {
+						break
+					}
+					key := string(kb)
 					nr, err := s.appendRecord(key, body[klen:], r.expires, 0, true)
 					if err != nil {
 						return err
@@ -457,16 +583,22 @@ func (s *Store) reclaimLocked() error {
 					s.setIndex(key, nr) // freq resets to zero
 					s.stats.ReclaimKept++
 				default:
-					s.dropIndex(key)
+					s.dropIndex(string(kb))
 					s.stats.ReclaimDropped++
 				}
 			}
 			off += total
 		}
-		victim.f.Close()
-		if err := s.opts.FS.Remove(victim.path); err != nil {
-			return fmt.Errorf("flash: reclaim remove: %w", err)
+		if s.closed {
+			return ErrClosed // under a reinsertion's wait
 		}
+		n := copy(s.segs, s.segs[1:])
+		s.segs[n] = nil
+		s.segs = s.segs[:n]
+		s.diskUsed -= victim.size
+		victim.retired.Store(true)
+		s.retired = append(s.retired, victim)
+		s.wake.Signal()
 		s.stats.Reclaims++
 	}
 	return nil
@@ -476,47 +608,76 @@ func (s *Store) reclaimLocked() error {
 // read-while-on-flash bit. Expired or unreadable records count as misses
 // and leave the index.
 func (s *Store) Get(key string) (value []byte, expires int64, ok bool) {
+	value, expires, ok, _ = s.Lookup(key)
+	return value, expires, ok
+}
+
+// Lookup is Get that also says why an indexed record could not be served:
+// err is the failed read, or ErrCorrupt, and nil on a hit or a clean miss.
+// The index is probed under the store mutex; a record still staged is
+// copied out of memory there, and any other is read back and checked
+// outside it, its segment held against reclamation meanwhile.
+func (s *Store) Lookup(key string) (value []byte, expires int64, ok bool, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.stats.Gets++
 	r, found := s.index[key]
+	if found && r.expires != 0 && r.expires <= s.now() {
+		s.dropIndex(key)
+		found = false
+	}
+	var seg *segment
+	var staged []byte
+	if found {
+		if staged = s.stagedLocked(r); staged == nil {
+			if seg = s.segFor(r.seg); seg == nil {
+				s.dropIndex(key)
+				found = false
+			}
+		}
+	}
 	if !found {
 		s.stats.Misses++
-		return nil, 0, false
+		s.mu.Unlock()
+		return nil, 0, false, nil
 	}
-	if r.expires != 0 && r.expires <= s.now() {
-		s.dropIndex(key)
-		s.stats.Misses++
-		return nil, 0, false
-	}
-	seg := s.segFor(r.seg)
-	if seg == nil {
-		s.dropIndex(key)
-		s.stats.Misses++
-		return nil, 0, false
-	}
-	buf := make([]byte, r.size())
-	if _, err := seg.f.ReadAt(buf, int64(r.off)); err != nil {
-		s.dropIndex(key)
-		s.stats.Misses++
-		s.stats.CorruptDropped++
-		return nil, 0, false
-	}
-	crc := binary.LittleEndian.Uint32(buf[19:23])
-	check := crc32.ChecksumIEEE(buf[4:19])
-	check = crc32.Update(check, crc32.IEEETable, buf[headerSize:])
-	if binary.LittleEndian.Uint32(buf[0:4]) != recordMagic || crc != check {
-		s.dropIndex(key)
-		s.stats.Misses++
-		s.stats.CorruptDropped++
-		return nil, 0, false
-	}
+	s.stats.Hits++
 	if r.freq < 3 {
 		r.freq++
 		s.index[key] = r
 	}
-	s.stats.Hits++
-	return buf[headerSize+uint64(r.klen):], r.expires, true
+	if staged != nil {
+		value = append([]byte(nil), staged[headerSize+int(r.klen):]...)
+		s.mu.Unlock()
+		return value, r.expires, true, nil
+	}
+	seg.readers.Add(1)
+	s.mu.Unlock()
+
+	buf := make([]byte, r.size())
+	_, err = seg.f.ReadAt(buf, int64(r.off))
+	s.release(seg)
+	if err == nil && (binary.LittleEndian.Uint32(buf[0:4]) != recordMagic ||
+		binary.LittleEndian.Uint32(buf[19:23]) != recordCRC(buf)) {
+		err = ErrCorrupt
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.stats.Hits-- // counted before the read; it was a miss after all
+		s.stats.Misses++
+		if s.closed {
+			// Close does not wait for readers of live segments; this one found
+			// its file shut. The store is gone, the disk is not at fault.
+			s.mu.Unlock()
+			return nil, 0, false, nil
+		}
+		s.stats.CorruptDropped++
+		if cur, ok := s.index[key]; ok && cur.seg == r.seg && cur.off == r.off {
+			s.dropIndex(key)
+		}
+		s.mu.Unlock()
+		return nil, 0, false, fmt.Errorf("flash: read %s: %w", seg.path, err)
+	}
+	return buf[headerSize+uint64(r.klen):], r.expires, true, nil
 }
 
 func (s *Store) segFor(seq uint64) *segment {
@@ -547,22 +708,31 @@ func (s *Store) Contains(key string) bool {
 }
 
 // Delete removes key. A tombstone record is appended when the key was
-// present so the delete survives restart. The boolean reports whether the
-// key was present (and disk I/O was therefore attempted): callers
-// tracking disk health must ignore the nil error of a no-op delete. Even
-// when the tombstone append fails the key is gone from the in-memory
-// index — only crash durability is at risk, which the caller's error
-// handling must cover.
+// present, and it — with everything staged before it — is written to the
+// file before Delete returns, so the delete survives a crash of the
+// process. The boolean reports whether the key was present (and disk I/O
+// was therefore attempted): callers tracking disk health must ignore the
+// nil error of a no-op delete. Even when the tombstone append fails the
+// key is gone from the in-memory index — only crash durability is at
+// risk, which the caller's error handling must cover.
 func (s *Store) Delete(key string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[key]; !ok {
+		// Nothing to tombstone — but a segment reclamation has dropped this
+		// key from may still be awaiting its unlink, and a crash before that
+		// would index the record again with no tombstone behind it.
+		for len(s.retired) > 0 && s.ioErr == nil && !s.closed {
+			s.awaitSealerLocked()
+		}
 		return false, nil
 	}
 	s.dropIndex(key)
 	s.stats.Deletes++
-	_, err := s.appendRecord(key, nil, 0, flagTombstone, false)
-	if err != nil {
+	if _, err := s.appendRecord(key, nil, 0, flagTombstone, false); err != nil {
+		return true, err
+	}
+	if err := s.flushLocked(); err != nil {
 		return true, err
 	}
 	return true, s.reclaimLocked()
@@ -606,18 +776,25 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync is the barrier: it drains the staging area and the sealer — every
+// record appended so far is in its file, every reclaimed segment is
+// unlinked — and then syncs the active segment to stable storage, inline.
+// It returns the sticky error of a background write that failed since the
+// last call, so "Sync returned nil" means nothing was lost behind the
+// caller's back. After it DiskUsed equals the bytes in the segment files.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if len(s.segs) == 0 {
-		// Only after a Reset whose roll failed: restore the invariant.
-		return s.rollLocked()
+	if err := s.drainLocked(); err != nil {
+		return err
 	}
-	return s.active().f.Sync()
+	if err := s.active().f.Sync(); err != nil {
+		return fmt.Errorf("flash: sync %s: %w", s.active().path, err)
+	}
+	return nil
 }
 
 // Reset drops every record and segment file, returning the store to
@@ -628,37 +805,53 @@ func (s *Store) Sync() error {
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for !s.closed && (s.busy || s.reclaiming) {
+		s.idle.Wait()
+	}
 	if s.closed {
 		return ErrClosed
 	}
-	s.closeAll()
-	var firstErr error
+	// Whatever is staged or owed to the old segments dies with them; the
+	// files go the way reclaimed ones do, oldest first, each once its last
+	// reader has let go.
+	s.stage, s.unsynced = s.stage[:0], nil
+	if s.flight.seg != nil {
+		s.flight, s.spare = chunk{}, s.flight.data[:0]
+	}
 	for _, seg := range s.segs {
-		if err := s.opts.FS.Remove(seg.path); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("flash: reset remove: %w", err)
+		if seg.f != nil { // else the sealer never got to create the file
+			seg.retired.Store(true)
+			s.retired = append(s.retired, seg)
 		}
 	}
 	s.segs = nil
 	s.index = make(map[string]rec)
 	s.diskUsed = 0
 	s.liveBytes = 0
-	if err := s.rollLocked(); err != nil {
-		return err
-	}
-	return firstErr
+	s.ioErr, s.untold = nil, false
+	s.rollLocked()
+	return s.drainLocked()
 }
 
-// Close syncs and closes every segment file. The store must not be used
-// afterwards.
+// Close drains the staging area, stops the sealer, syncs and closes every
+// segment file. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
+	err := s.drainLocked()
+	if s.closed {
+		return nil // a concurrent Close won while this one waited
+	}
 	s.closed = true
-	var err error
-	if len(s.segs) > 0 {
+	s.wake.Broadcast()
+	s.idle.Broadcast()
+	s.mu.Unlock()
+	<-s.sealerDone
+	s.mu.Lock()
+	if err == nil {
 		err = s.active().f.Sync()
 	}
 	// With the log sealed, persist the index so the next Open can skip
