@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench-test bench bench-allocs bench-overhead throughput flashbench herdbench
+.PHONY: all build vet test race tier1 bench-test bench bench-allocs bench-scaling bench-overhead throughput flashbench herdbench
 
 all: tier1
 
@@ -41,12 +41,20 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # Allocation gates: the binary-protocol hot path (the server's GET
-# hit/miss dispatch and the frame codec must be 0 allocs/op) and the flash
-# tier (amortised 0 for Put and Delete, 1 for Get: the value it returns).
-# testing.AllocsPerOp/AllocsPerRun assertions; skipped under -race, which
-# allocates.
+# hit/miss dispatch and the frame codec must be 0 allocs/op, a SET of a
+# new key 3: value, key, entry) and the flash tier (amortised 0 for Put
+# and Delete, 1 for Get: the value it returns, plus the key on a record's
+# first three reads). testing.AllocsPerOp/AllocsPerRun assertions; skipped
+# under -race, which allocates.
 bench-allocs:
 	$(GO) test -run='^TestAllocGate' -v ./internal/proto ./internal/server ./internal/flash
+
+# Hit-scaling gate: a cache hit must cost a goroutine at most 1.5x as much
+# with a second goroutine hitting the same cache as alone (the paper's
+# §4.3 claim; BenchmarkHitScaling prints the two figures). Skipped on one
+# CPU.
+bench-scaling:
+	$(GO) test -run='^TestHitScalingGate$$' -v ./cache -scaling-gate
 
 # Telemetry-overhead gate: fails when a live metrics registry costs more
 # than 5% throughput vs the nil-registry fast path (DESIGN.md §9).

@@ -26,6 +26,7 @@ package cache
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,7 +161,9 @@ func (b *breaker) markDirtyIfDegraded(key string) bool {
 		b.dirty = nil
 		return true
 	}
-	b.dirty[key] = struct{}{}
+	if _, ok := b.dirty[key]; !ok {
+		b.dirty[strings.Clone(key)] = struct{}{} // a Delete's key is the caller's to reuse
+	}
 	return true
 }
 

@@ -30,6 +30,7 @@ package cache
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,9 +263,7 @@ type Cache struct {
 	neg       *negCache
 	ttlJitter float64
 
-	dramHits     atomic.Uint64
-	misses       atomic.Uint64
-	sets         atomic.Uint64
+	ops          opCounters // hits, misses, sets: striped, see counters.go
 	promotions   atomic.Uint64
 	staleServed  atomic.Uint64
 	negativeHits atomic.Uint64
@@ -425,18 +424,20 @@ func hashString(key string) uint64 {
 // stays valid, so a later re-demotion costs no second write).
 func (c *Cache) Get(key string) ([]byte, bool) {
 	// Latency sampling rides the always-on hit/miss counters (plain
-	// loads) instead of a dedicated op counter or PRNG draw — at ~140ns
-	// per hit, either of those alone is a measurable tax. hits+misses
-	// advances once per Get, so this is an exact 1-in-64 for gets (flash
-	// hits don't advance it and sample at whatever phase the counter is
-	// stuck on; they're disk-bound, so the timing bias is noise).
+	// loads of this goroutine's stripe) instead of a dedicated op counter
+	// or PRNG draw — at ~40ns per hit, either of those alone is a
+	// measurable tax. hits+misses advances once per Get, so this is an
+	// exact 1-in-64 of a goroutine's gets (flash hits don't advance it and
+	// sample at whatever phase the counter is stuck on; they're disk-bound,
+	// so the timing bias is noise).
+	ops := c.ops.local()
 	m := c.metrics
 	var start time.Time
-	if m != nil && (m.everyOp || (c.dramHits.Load()+c.misses.Load())&opSampleMask == 0) {
+	if m != nil && (m.everyOp || (ops.dramHits.Load()+ops.misses.Load())&opSampleMask == 0) {
 		start = time.Now()
 	}
 	if v, ok := c.engine.Get(key); ok {
-		c.dramHits.Add(1)
+		ops.dramHits.Add(1)
 		if !start.IsZero() {
 			c.metrics.end("get", key, start, "dram")
 		}
@@ -447,7 +448,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	// keys off the slower layers.
 	if c.neg.hit(key, now().UnixNano()) {
 		c.negativeHits.Add(1)
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		if !start.IsZero() {
 			c.metrics.end("get", key, start, "miss")
 		}
@@ -457,7 +458,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		// No second tier, or the tier is degraded: a degraded tier is
 		// bypassed entirely — its index may hold copies superseded during
 		// the outage, and the backend under it is presumed sick.
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		if !start.IsZero() {
 			c.metrics.end("get", key, start, "miss")
 		}
@@ -477,7 +478,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	v, expires, ok, err := c.tier.t.Get(key)
 	c.tier.br.note(err)
 	if !ok || expiredAt(expires, now().UnixNano()) {
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		if !start.IsZero() {
 			c.metrics.end("get", key, start, "miss")
 		}
@@ -494,10 +495,11 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // resident entry means a concurrent Set won the race and must not be
 // clobbered by the older flash copy. The flash copy is left in place:
 // until the key is Set again, the copies agree, and the next demotion is
-// free.
+// free. The key arrived on a lookup, so it is the caller's to reuse (see
+// Engine): the engine gets a copy to keep.
 func (c *Cache) promote(key string, value []byte, expires int64) {
 	c.promotions.Add(1)
-	c.engine.Add(key, value, expires)
+	c.engine.Add(strings.Clone(key), value, expires)
 	c.drainEvictions()
 }
 
@@ -528,10 +530,11 @@ const (
 // copy carries the same deadline and cannot be fresher than the resident
 // one.
 func (c *Cache) GetEx(key string, grace time.Duration) ([]byte, LookupState) {
+	ops := c.ops.local()
 	nowNano := now().UnixNano()
 	if v, exp, ok := c.engine.GetStale(key); ok {
 		if !expiredAt(exp, nowNano) {
-			c.dramHits.Add(1)
+			ops.dramHits.Add(1)
 			return v, LookupHit
 		}
 		if grace > 0 && !expiredAt(exp+int64(grace), nowNano) {
@@ -541,22 +544,22 @@ func (c *Cache) GetEx(key string, grace time.Duration) ([]byte, LookupState) {
 		// Beyond grace: reap through the plain lookup path (which treats
 		// the expired entry exactly as Get would) and report a miss.
 		c.engine.Get(key)
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		return nil, LookupMiss
 	}
 	if c.neg.hit(key, nowNano) {
 		c.negativeHits.Add(1)
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		return nil, LookupNegative
 	}
 	if c.tier == nil || !c.tier.available() {
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		return nil, LookupMiss
 	}
 	v, expires, ok, err := c.tier.t.Get(key)
 	c.tier.br.note(err)
 	if !ok || expiredAt(expires, now().UnixNano()) {
-		c.misses.Add(1)
+		ops.misses.Add(1)
 		return nil, LookupMiss
 	}
 	c.promote(key, v, expires)
@@ -584,7 +587,6 @@ func (c *Cache) SetNegative(key string, ttl time.Duration) {
 // admission policy may write the value through to flash (a re-Set of a
 // recently declined key proves reuse).
 func (c *Cache) Set(key string, value []byte) bool {
-	c.sets.Add(1)
 	return c.set(key, value, 0)
 }
 
@@ -594,10 +596,11 @@ func (c *Cache) Set(key string, value []byte) bool {
 // of the old value can still be in flight, and the flash tombstone below
 // settles last.
 func (c *Cache) set(key string, value []byte, expiresAt int64) bool {
-	// Sampled against the set counter the callers just bumped; see Get.
+	// Sampled against this goroutine's set counter; see Get.
+	n := c.ops.local().sets.Add(1)
 	m := c.metrics
 	var start time.Time
-	if m != nil && (m.everyOp || c.sets.Load()&opSampleMask == 0) {
+	if m != nil && (m.everyOp || n&opSampleMask == 0) {
 		start = time.Now()
 	}
 	ok := c.engine.Set(key, value, expiresAt)
@@ -621,21 +624,29 @@ func (c *Cache) set(key string, value []byte, expiresAt int64) bool {
 	return ok
 }
 
-// Delete removes key from every tier if present. It does not fire
-// OnEvict.
-func (c *Cache) Delete(key string) {
+// Delete removes key from every tier and reports whether a live value
+// was held: the engine's answer, or, when the engine held none, the
+// second tier's Contains (the delete itself is unconditional — a tier may
+// hold keys Contains cannot see, as the remote tier does by design). An
+// entry whose TTL had passed but which was not yet reaped counts as not
+// held. Delete does not fire OnEvict.
+func (c *Cache) Delete(key string) bool {
 	var start time.Time
 	if c.metrics.timed() {
 		start = time.Now()
 	}
-	c.engine.Delete(key)
+	held := c.engine.Delete(key)
 	c.neg.clear(key)
 	if c.tier != nil {
+		if !held && c.tier.available() {
+			held = c.tier.t.Contains(key)
+		}
 		c.tier.invalidate(key)
 	}
 	if !start.IsZero() {
 		c.metrics.end("delete", key, start, "dram")
 	}
+	return held
 }
 
 // Contains reports whether key is cached in either tier, without
@@ -671,9 +682,7 @@ func (c *Cache) Capacity() uint64 { return c.engine.Capacity() }
 // a flash tier is configured, the flash store.
 func (c *Cache) Stats() Stats {
 	var out Stats
-	out.DRAMHits = c.dramHits.Load()
-	out.Misses = c.misses.Load()
-	out.Sets = c.sets.Load()
+	out.DRAMHits, out.Misses, out.Sets = c.ops.sum()
 	ec := c.engine.Counters()
 	out.Evictions = ec.SmallQueueEvict + ec.MainQueueEvict
 	out.Expired = ec.TTLExpire

@@ -19,6 +19,16 @@ import (
 // engine locks held; implementations guarantee only that the hook for a
 // given key cannot still be in flight after a Set or Delete of that key
 // has returned. Hooks must not call back into the engine.
+//
+// Borrowed-key contract: the key given to a lookup or a removal (Get,
+// GetStale, Contains, Delete) is lent for the call. The server passes
+// strings that alias its socket read buffer, so an engine — and every
+// layer a lookup passes through: the facade, the negative table, a Tier's
+// Get/Contains/Delete — may hash, compare and copy such a key but must
+// not keep it once the call returns. The key given to Set or Add is kept:
+// callers hand over a string nothing will overwrite, and whoever turns a
+// lookup into a store (Cache.promote, the breaker's dirty set, the
+// server's fill table) clones the key first.
 type Engine interface {
 	// Name returns the engine name ("policy" or "concurrent").
 	Name() string
@@ -39,8 +49,8 @@ type Engine interface {
 	// Add inserts only if key is not resident (the flash-promotion path).
 	// It reports whether the insert happened.
 	Add(key string, value []byte, expiresAt int64) bool
-	// Delete removes key and reports whether it was resident. The eviction
-	// hook is not invoked for deletes.
+	// Delete removes key and reports whether it was resident and
+	// unexpired. The eviction hook is not invoked for deletes.
 	Delete(key string) bool
 	// Contains reports residency without perturbing eviction state.
 	Contains(key string) bool

@@ -239,6 +239,10 @@ func (pe *policyEngine) Delete(key string) bool {
 	if !ok {
 		return false
 	}
+	if e.expired() {
+		s.expireLocked(key, e)
+		return false
+	}
 	s.pol.Delete(e.id)
 	delete(s.ids, e.id)
 	delete(s.entries, key)

@@ -121,7 +121,7 @@ func registerCacheFuncs(reg *telemetry.Registry, c *Cache) {
 	lbl := func(k, v string) telemetry.Labels { return telemetry.Labels{{Key: k, Value: v}} }
 
 	reg.CounterFunc("cache_hits_total", "Cache hits by serving tier.",
-		lbl("tier", "dram"), func() uint64 { return c.dramHits.Load() })
+		lbl("tier", "dram"), func() uint64 { h, _, _ := c.ops.sum(); return h })
 	reg.CounterFunc("cache_hits_total", "Cache hits by serving tier.",
 		lbl("tier", "flash"), func() uint64 {
 			if c.tier == nil {
@@ -130,9 +130,9 @@ func registerCacheFuncs(reg *telemetry.Registry, c *Cache) {
 			return c.tier.t.Stats().Hits
 		})
 	reg.CounterFunc("cache_misses_total", "Lookups missing every tier.",
-		nil, func() uint64 { return c.misses.Load() })
+		nil, func() uint64 { _, m, _ := c.ops.sum(); return m })
 	reg.CounterFunc("cache_sets_total", "Set and SetWithTTL calls.",
-		nil, func() uint64 { return c.sets.Load() })
+		nil, func() uint64 { _, _, n := c.ops.sum(); return n })
 
 	// Anti-stampede families (DESIGN.md §14).
 	reg.CounterFunc("cache_stale_served_total",

@@ -36,6 +36,10 @@ var ErrEntryTooLarge = errors.New("cache: entry too large for tier")
 // error except ErrEntryTooLarge feeds the circuit breaker's
 // consecutive-error window, so implementations should return errors
 // only for genuine backend trouble.
+//
+// Keys follow the Engine's borrowed-key contract: Get, Contains and
+// Delete are lent theirs for the call and must not retain it; Put's key
+// is the tier's to keep.
 type Tier interface {
 	// Kind returns the tier's name ("flash", "file", "remote", ...),
 	// surfaced in Stats, /stats and /healthz.

@@ -34,7 +34,6 @@ func (c *Cache) SetWithTTL(key string, value []byte, ttl time.Duration) bool {
 	if ttl <= 0 {
 		return c.Set(key, value)
 	}
-	c.sets.Add(1)
 	if c.ttlJitter > 0 {
 		ttl += time.Duration(float64(ttl) * c.ttlJitter * jitterFrac(key))
 	}

@@ -18,8 +18,6 @@
 // and reports throughput, reproducing Fig. 8's scaling curves.
 package concurrent
 
-import "sync"
-
 // Cache is a concurrent cache. Values are opaque byte slices; the caches
 // store them by reference (the benchmark's working set is pre-generated).
 type Cache interface {
@@ -33,114 +31,4 @@ type Cache interface {
 	Len() int
 	// Capacity returns the configured capacity in objects.
 	Capacity() int
-}
-
-// numShards for the sharded index. Power of two.
-const numShards = 64
-
-// mix64 is the 64-bit avalanche finalizer shared by the index shards and
-// the S3-FIFO queue shards, so sequential keys spread over both.
-func mix64(key uint64) uint64 {
-	key ^= key >> 33
-	key *= 0xff51afd7ed558ccd
-	key ^= key >> 33
-	return key
-}
-
-// shardFor picks the index shard for a key.
-func shardFor(key uint64) uint64 {
-	return mix64(key) & (numShards - 1)
-}
-
-// shardedIndex is a hash index with per-shard RW locks: the read path of
-// every cache except LRUStrict. V is comparable so deletions can be
-// conditioned on entry identity (deleteIf), which keeps eviction scans
-// from removing a newer entry that reused the same key.
-type shardedIndex[V comparable] struct {
-	shards [numShards]struct {
-		sync.RWMutex
-		m map[uint64]V
-	}
-}
-
-func newShardedIndex[V comparable]() *shardedIndex[V] {
-	idx := &shardedIndex[V]{}
-	for i := range idx.shards {
-		idx.shards[i].m = make(map[uint64]V)
-	}
-	return idx
-}
-
-func (idx *shardedIndex[V]) get(key uint64) (V, bool) {
-	s := &idx.shards[shardFor(key)]
-	s.RLock()
-	v, ok := s.m[key]
-	s.RUnlock()
-	return v, ok
-}
-
-func (idx *shardedIndex[V]) put(key uint64, v V) {
-	s := &idx.shards[shardFor(key)]
-	s.Lock()
-	s.m[key] = v
-	s.Unlock()
-}
-
-func (idx *shardedIndex[V]) delete(key uint64) {
-	s := &idx.shards[shardFor(key)]
-	s.Lock()
-	delete(s.m, key)
-	s.Unlock()
-}
-
-// putIfAbsent stores v unless key is already mapped; it returns the
-// existing value and whether one was found.
-func (idx *shardedIndex[V]) putIfAbsent(key uint64, v V) (V, bool) {
-	s := &idx.shards[shardFor(key)]
-	s.Lock()
-	if old, ok := s.m[key]; ok {
-		s.Unlock()
-		return old, true
-	}
-	s.m[key] = v
-	s.Unlock()
-	var zero V
-	return zero, false
-}
-
-// deleteIf removes key only while it still maps to v.
-func (idx *shardedIndex[V]) deleteIf(key uint64, v V) {
-	s := &idx.shards[shardFor(key)]
-	s.Lock()
-	if cur, ok := s.m[key]; ok && cur == v {
-		delete(s.m, key)
-	}
-	s.Unlock()
-}
-
-// forEach visits every value under the per-shard read locks; fn
-// returning false stops the walk.
-func (idx *shardedIndex[V]) forEach(fn func(V) bool) {
-	for i := range idx.shards {
-		s := &idx.shards[i]
-		s.RLock()
-		for _, v := range s.m {
-			if !fn(v) {
-				s.RUnlock()
-				return
-			}
-		}
-		s.RUnlock()
-	}
-}
-
-func (idx *shardedIndex[V]) len() int {
-	n := 0
-	for i := range idx.shards {
-		s := &idx.shards[i]
-		s.RLock()
-		n += len(s.m)
-		s.RUnlock()
-	}
-	return n
 }

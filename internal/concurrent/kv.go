@@ -119,8 +119,8 @@ func (c *KV) Add(key string, value []byte, expiresAt int64) bool {
 	return c.add(hashKV(key), key, value, kvEntrySize(key, value), expiresAt)
 }
 
-// Delete removes key if present and reports whether it was. The eviction
-// hook is not invoked.
+// Delete removes key if present and reports whether an unexpired value
+// was held. The eviction hook is not invoked.
 func (c *KV) Delete(key string) bool { return c.del(hashKV(key), key) }
 
 // Capacity returns the configured capacity in bytes.
@@ -240,9 +240,9 @@ func (c *KV) Sample(limit int) []KeySample {
 	return out
 }
 
-// Range visits every resident, unexpired entry under the index's
-// per-shard read locks; fn returning false stops the walk. Entries
-// inserted or removed concurrently may or may not be visited.
+// Range visits every resident, unexpired entry; fn returning false stops
+// the walk. Entries inserted or removed concurrently may or may not be
+// visited.
 func (c *KV) Range(fn func(key string, value []byte, expiresAt int64) bool) {
 	nowNanos := c.now()
 	c.index.forEach(func(e *entry[string]) bool {

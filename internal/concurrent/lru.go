@@ -91,7 +91,7 @@ func (c *LRUStrict) Capacity() int { return c.capacity }
 // evictions, which is what caps its scaling in Fig. 8.
 type LRUOptimized struct {
 	capacity int
-	index    *shardedIndex[*optEntry]
+	index    *shardedIndex[optEntry]
 
 	listMu     sync.Mutex
 	queue      *list.List
@@ -116,7 +116,7 @@ func NewLRUOptimized(capacity int) *LRUOptimized {
 	}
 	return &LRUOptimized{
 		capacity:   capacity,
-		index:      newShardedIndex[*optEntry](),
+		index:      newShardedIndex[optEntry](),
 		queue:      list.New(),
 		promotions: lockfree.NewRing(1024),
 		promoteAge: pa,

@@ -15,7 +15,7 @@ import (
 type Segcache struct {
 	capacity int
 	segSize  int
-	index    *shardedIndex[*segEntry]
+	index    *shardedIndex[segEntry]
 
 	mu       sync.Mutex // guards the segment chain (eviction/rotation)
 	segments []*segment
@@ -43,7 +43,7 @@ func NewSegcache(capacity int) *Segcache {
 	return &Segcache{
 		capacity: capacity,
 		segSize:  segSize,
-		index:    newShardedIndex[*segEntry](),
+		index:    newShardedIndex[segEntry](),
 	}
 }
 

@@ -44,7 +44,7 @@ import (
 // exactly this serialization (see cache/tiered.go).
 type machine[K comparable] struct {
 	capacity  uint64
-	index     *shardedIndex[*entry[K]]
+	index     *shardedIndex[entry[K]]
 	shards    []*shard[K]
 	shardMask uint64
 	now       func() int64
@@ -193,7 +193,7 @@ func (m *machine[K]) init(capacity uint64, shards int, minShard uint64, smallRat
 		smallRatio = 0.10
 	}
 	m.capacity = capacity
-	m.index = newShardedIndex[*entry[K]]()
+	m.index = newShardedIndex[entry[K]]()
 	m.shards = make([]*shard[K], n)
 	m.shardMask = uint64(n - 1)
 	m.now = func() int64 { return time.Now().UnixNano() }
@@ -373,11 +373,13 @@ func (m *machine[K]) add(hash uint64, key K, value []byte, size uint32, expiresA
 	return true
 }
 
-// del removes key if present and reports whether it was. Without an
-// eviction hook it takes no locks: the queue slot is tombstoned and
-// lazily reclaimed, which is how a ring-buffer deployment behaves (§4.2).
-// With a hook it serializes on the shard mutex so it cannot overtake an
-// in-flight hook call for the same key.
+// del removes key if present and reports whether a live value was held:
+// an entry whose TTL has passed goes the way Contains would send it, as
+// an expiry, and reports false. Without an eviction hook del takes no
+// locks: the queue slot is tombstoned and lazily reclaimed, which is how
+// a ring-buffer deployment behaves (§4.2). With a hook it serializes on
+// the shard mutex so it cannot overtake an in-flight hook call for the
+// same key.
 func (m *machine[K]) del(hash uint64, key K) bool {
 	e, ok := m.index.get(hash)
 	if !ok || e.key != key {
@@ -387,6 +389,10 @@ func (m *machine[K]) del(hash uint64, key K) bool {
 		s := m.shardOf(hash)
 		s.mu.Lock()
 		defer s.mu.Unlock()
+	}
+	if exp := e.expires.Load(); exp != 0 && m.now() > exp {
+		m.expire(e)
+		return false
 	}
 	if m.retire(e) {
 		m.deletes.Add(1)

@@ -643,7 +643,10 @@ func (s *Store) Lookup(key string) (value []byte, expires int64, ok bool, err er
 	s.stats.Hits++
 	if r.freq < 3 {
 		r.freq++
-		s.index[key] = r
+		// Assigning through a string key makes the map keep that string in
+		// place of the one it held, and a lookup's key is only lent to us
+		// (cache.Tier): hand the map a copy. At most three times a record.
+		s.index[strings.Clone(key)] = r
 	}
 	if staged != nil {
 		value = append([]byte(nil), staged[headerSize+int(r.klen):]...)

@@ -533,12 +533,18 @@ func TestAllocGateFlash(t *testing.T) {
 	}
 	gate("Put", 0, 0, n-1, func(k string) { s.Put(k, val, 0) })
 	// The newest thousand are all still there: every Get hits, every Delete
-	// writes its tombstone.
-	gate("Get", 1, n-1000, 999, func(k string) {
+	// writes its tombstone. A record's first three reads bump its frequency,
+	// and the index then keeps a copy of the key, not the caller's string;
+	// from the fourth on a Get allocates the value it returns and no more.
+	get := func(k string) {
 		if _, _, ok := s.Get(k); !ok {
 			t.Errorf("Get(%s) missed", k)
 		}
-	})
+	}
+	for read := 1; read <= 3; read++ {
+		gate(fmt.Sprintf("Get, read %d of a record", read), 2, n-1000, 999, get)
+	}
+	gate("Get", 1, n-1000, 999, get)
 	gate("Delete", 0, n-1000, 999, func(k string) {
 		if existed, err := s.Delete(k); !existed || err != nil {
 			t.Errorf("Delete(%s) = %v, %v", k, existed, err)

@@ -26,10 +26,8 @@
 // and fall back to the text protocol for legacy clients.
 //
 // Encode and decode are allocation-free: headers parse in place from a
-// borrowed slice (bufio.Peek), frames append into caller-owned or pooled
-// buffers (GetBuf/PutBuf), and servers fold key bytes to strings through
-// a bounded Interner so the conversion allocates only the first time a
-// key is seen on a connection.
+// borrowed slice (bufio.Peek) and frames append into caller-owned or
+// pooled buffers (GetBuf/PutBuf).
 package proto
 
 import (

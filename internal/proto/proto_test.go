@@ -131,45 +131,6 @@ func TestParseResponseHeaderRejects(t *testing.T) {
 	}
 }
 
-func TestInterner(t *testing.T) {
-	it := NewInterner(4)
-	a1 := it.Intern([]byte("alpha"))
-	a2 := it.Intern([]byte("alpha"))
-	if a1 != "alpha" || a2 != "alpha" {
-		t.Fatalf("interned %q/%q", a1, a2)
-	}
-	for _, k := range []string{"b", "c", "d"} {
-		it.Intern([]byte(k))
-	}
-	if it.Len() != 4 {
-		t.Fatalf("len = %d, want 4", it.Len())
-	}
-	// The fifth distinct key overflows the bound: the table resets and
-	// re-interns from scratch rather than growing.
-	it.Intern([]byte("e"))
-	if it.Len() != 1 {
-		t.Fatalf("len after overflow = %d, want 1", it.Len())
-	}
-	if got := it.Intern([]byte("alpha")); got != "alpha" {
-		t.Fatalf("re-intern after reset = %q", got)
-	}
-}
-
-// TestInternerHitPathDoesNotAllocate is the contract the server's
-// zero-alloc GET path stands on: once a key is interned, looking it up
-// again allocates nothing.
-func TestInternerHitPathDoesNotAllocate(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	it := NewInterner(0)
-	key := []byte("benchmark-key-0001")
-	it.Intern(key)
-	if avg := testing.AllocsPerRun(1000, func() { it.Intern(key) }); avg != 0 {
-		t.Fatalf("Intern hit path allocates %.1f/op, want 0", avg)
-	}
-}
-
 func TestBufPool(t *testing.T) {
 	b := GetBuf()
 	if len(*b) != 0 {

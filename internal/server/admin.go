@@ -61,6 +61,7 @@ func AdminHandler(s *Server, reg *telemetry.Registry) http.Handler {
 func (s *Server) statsJSON() map[string]any {
 	c := s.cache
 	st := c.Stats()
+	cmds := s.commands()
 	out := map[string]any{
 		"engine": c.Engine(),
 		"hits":   st.Hits, "misses": st.Misses, "sets": st.Sets,
@@ -85,11 +86,11 @@ func (s *Server) statsJSON() map[string]any {
 		"total_connections":      s.connsTotal.Load(),
 		"rejected_connections":   s.connsRejected.Load(),
 		"accept_retries":         s.acceptRetries.Load(),
-		"cmd_get":                s.cmdGet.Load(),
-		"cmd_set":                s.cmdSet.Load(),
-		"cmd_delete":             s.cmdDelete.Load(),
-		"cmd_getx":               s.cmdGetx.Load(),
-		"cmd_setx":               s.cmdSetx.Load(),
+		"cmd_get":                cmds.all[verbGet],
+		"cmd_set":                cmds.all[verbSet],
+		"cmd_delete":             cmds.all[verbDelete],
+		"cmd_getx":               cmds.all[verbGetx],
+		"cmd_setx":               cmds.all[verbSetx],
 		"stale_served":           st.StaleServed,
 		"negative_hits":          st.NegativeHits,
 		"negative_sets":          st.NegativeSets,

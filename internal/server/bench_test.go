@@ -7,12 +7,18 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
 	"s3fifo/cache"
 	"s3fifo/internal/proto"
 )
+
+// newBinConn and newTextConn are connection state with no connection
+// behind it: counters nobody sums, no deadlines.
+func newBinConn() *binConn   { return &binConn{stats: &connStats{}} }
+func newTextConn() *textConn { return &textConn{stats: &connStats{}} }
 
 // benchServer builds a server with one hot key.
 func benchServer(b testing.TB) *Server {
@@ -27,7 +33,7 @@ func benchServer(b testing.TB) *Server {
 }
 
 // BenchmarkServerGetHit measures one binary GET hit through the real
-// dispatch path: header parse, interned key, cache lookup, response
+// dispatch path: header parse, borrowed key, cache lookup, response
 // frame. The network is replaced by a resettable reader and io.Discard.
 func BenchmarkServerGetHit(b *testing.B) {
 	srv := benchServer(b)
@@ -36,7 +42,6 @@ func BenchmarkServerGetHit(b *testing.B) {
 	br := bytes.NewReader(frame)
 	r := bufio.NewReaderSize(br, 16<<10)
 	w := bufio.NewWriterSize(io.Discard, 16<<10)
-	// Warm the interner so steady state is measured, not first touch.
 	if fatal := srv.dispatchBinary(r, w, bc); fatal {
 		b.Fatal("warmup dispatch failed")
 	}
@@ -56,7 +61,7 @@ func BenchmarkServerGetHit(b *testing.B) {
 // protocol, for comparison: strings.Fields, fmt response formatting.
 func BenchmarkServerGetHitText(b *testing.B) {
 	srv := benchServer(b)
-	tc := &textConn{}
+	tc := newTextConn()
 	payload := []byte("get bench-key\r\n")
 	br := bytes.NewReader(payload)
 	r := bufio.NewReaderSize(br, 16<<10)
@@ -119,5 +124,45 @@ func TestAllocGateServerGetMiss(t *testing.T) {
 	}
 	if allocs := testing.Benchmark(BenchmarkServerGetMiss).AllocsPerOp(); allocs != 0 {
 		t.Fatalf("binary GET-miss path allocates %d times per op, want 0", allocs)
+	}
+}
+
+// setFrames are binary SETs of n distinct keys, 100-byte values.
+func setFrames(n int) [][]byte {
+	frames := make([][]byte, n)
+	value := bytes.Repeat([]byte("v"), 100)
+	for i := range frames {
+		frames[i] = proto.AppendRequest(nil, proto.OpSet, 0, uint32(i), fmt.Sprintf("set-key-%06d", i), value)
+	}
+	return frames
+}
+
+// TestAllocGateServerSet pins what a SET of a new key allocates: the
+// value the cache keeps, the one copy of the key out of the read buffer,
+// and the engine's entry. (Queue and index growth are amortised away:
+// AllocsPerRun reports whole allocations per run.)
+func TestAllocGateServerSet(t *testing.T) {
+	if proto.RaceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	c, err := cache.New(cache.Config{MaxBytes: 64 << 20, Engine: "concurrent"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, bc := New(c), newBinConn()
+	frames := setFrames(20_000)
+	br := bytes.NewReader(nil)
+	r := bufio.NewReaderSize(br, 16<<10)
+	w := bufio.NewWriterSize(io.Discard, 16<<10)
+	i := 0
+	allocs := testing.AllocsPerRun(len(frames)-1, func() {
+		br.Reset(frames[i])
+		r.Reset(br)
+		srv.dispatchBinary(r, w, bc)
+		w.Flush()
+		i++
+	})
+	if allocs != 3 {
+		t.Fatalf("binary SET allocates %v times per new key, want 3: value, key, entry", allocs)
 	}
 }

@@ -4,19 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"net"
+	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"s3fifo/internal/proto"
 )
 
-// binConn is per-connection binary-protocol state. The interner is what
-// keeps the GET-hit path allocation-free: the cache API takes string
-// keys, and interning bounds the []byte->string conversions to one per
-// distinct key per connection instead of one per request. The scratch
-// array holds outgoing response headers so encoding never touches the
-// heap.
+// binConn is per-connection binary-protocol state: the command counters,
+// the idle timer, and a scratch array for outgoing response headers so
+// encoding never touches the heap.
 //
 // wmu serializes the buffered writer between the connection goroutine
 // and the parked-lookup responder goroutines (coalesced GETs and GETX
@@ -26,42 +24,32 @@ import (
 // reading). Uncontended lock/unlock costs nothing the allocation gates
 // can see.
 type binConn struct {
-	intern  *proto.Interner
+	stats   *connStats
+	idle    idleTimer
 	scratch [proto.HeaderLen]byte
 	wmu     sync.Mutex
-}
-
-func newBinConn() *binConn {
-	return &binConn{intern: proto.NewInterner(0)}
 }
 
 // handleBinary runs the binary-protocol frame loop. Responses are
 // batched into the write buffer and flushed only when no further
 // complete request is already readable — one writev-style syscall per
 // pipelined burst, which is where the protocol's throughput comes from.
-func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
-	bc := newBinConn()
+func (s *Server) handleBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) {
 	for {
-		// Like the text loop, the read deadline re-arms per frame, making
-		// connTimeout an idle timeout that also bounds payload reads.
-		if s.connTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.connTimeout))
-		}
 		// About to block for the next header? Ship the batched responses
 		// first, or a windowed client would wait on us while we wait on it.
 		if r.Buffered() < proto.HeaderLen {
 			bc.wmu.Lock()
 			var err error
 			if w.Buffered() > 0 {
-				if s.connTimeout > 0 {
-					conn.SetWriteDeadline(time.Now().Add(s.connTimeout))
-				}
+				bc.idle.armWrite()
 				err = w.Flush()
 			}
 			bc.wmu.Unlock()
 			if err != nil {
 				return
 			}
+			bc.idle.arm(r, proto.HeaderLen)
 		}
 		if fatal := s.dispatchBinary(r, w, bc); fatal {
 			// Best effort: deliver the error frame / final batch.
@@ -90,14 +78,14 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 		return true
 	}
 	r.Discard(proto.HeaderLen)
+	bc.idle.arm(r, h.KeyLen+h.ValueLen)
 	switch h.Op {
 	case proto.OpGet:
-		key, err := binKey(r, bc, h.KeyLen)
+		key, err := binKey(r, h.KeyLen)
 		if err != nil {
 			return true
 		}
-		s.cmdGet.Add(1)
-		s.binGet.Add(1)
+		bc.stats.cmds[verbGet].Add(1)
 		if v, ok := s.cache.Get(key); ok {
 			s.binRespond(w, bc, proto.StatusOK, h.ID, v)
 		} else if slot := s.coalesceGetMiss(key); slot != nil {
@@ -110,18 +98,19 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 		}
 
 	case proto.OpSet:
-		key, err := binKey(r, bc, h.KeyLen)
+		key, err := binKey(r, h.KeyLen)
 		if err != nil {
 			return true
 		}
-		// The value is allocated, not pooled: the cache takes ownership of
-		// the slice for the entry's lifetime.
+		// The cache keeps what a SET hands it: the key is copied out of the
+		// read buffer (before the value read overwrites it), the value is
+		// allocated, not pooled.
+		key = strings.Clone(key)
 		value := make([]byte, h.ValueLen)
 		if _, err := io.ReadFull(r, value); err != nil {
 			return true
 		}
-		s.cmdSet.Add(1)
-		s.binSet.Add(1)
+		bc.stats.cmds[verbSet].Add(1)
 		var stored bool
 		if h.TTL > 0 {
 			stored = s.cache.SetWithTTL(key, value, time.Duration(h.TTL)*time.Second)
@@ -136,17 +125,12 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 		}
 
 	case proto.OpDelete:
-		key, err := binKey(r, bc, h.KeyLen)
+		key, err := binKey(r, h.KeyLen)
 		if err != nil {
 			return true
 		}
-		s.cmdDelete.Add(1)
-		s.binDelete.Add(1)
-		// Contains only shapes the OK/Miss answer; the delete itself is
-		// unconditional because a tier may hold keys Contains cannot see
-		// (the remote tier reports false by design).
-		existed := s.cache.Contains(key)
-		s.cache.Delete(key)
+		bc.stats.cmds[verbDelete].Add(1)
+		existed := s.cache.Delete(key)
 		s.noteDelete(key)
 		if existed {
 			s.binRespond(w, bc, proto.StatusOK, h.ID, nil)
@@ -156,12 +140,11 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 
 	case proto.OpGetx:
 		// The TTL field carries the client's grace-window request.
-		key, err := binKey(r, bc, h.KeyLen)
+		key, err := binKey(r, h.KeyLen)
 		if err != nil {
 			return true
 		}
-		s.cmdGetx.Add(1)
-		s.binGetx.Add(1)
+		bc.stats.cmds[verbGetx].Add(1)
 		v, tok, slot, out := s.getxBegin(key, h.TTL)
 		switch out {
 		case getxHit:
@@ -182,16 +165,16 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 		// Value bytes are the lease token followed by the payload; header
 		// validation guarantees ValueLen >= LeaseTokenLen, and that a
 		// negative fill (TTL bit 31) carries no payload.
-		key, err := binKey(r, bc, h.KeyLen)
+		key, err := binKey(r, h.KeyLen)
 		if err != nil {
 			return true
 		}
+		key = strings.Clone(key) // kept, as for SET: by the cache or the negative table
 		value := make([]byte, h.ValueLen)
 		if _, err := io.ReadFull(r, value); err != nil {
 			return true
 		}
-		s.cmdSetx.Add(1)
-		s.binSetx.Add(1)
+		bc.stats.cmds[verbSetx].Add(1)
 		tok, _ := proto.ParseLeaseToken(value)
 		negative := h.TTL&proto.SetxNegativeFlag != 0
 		st := s.setx(key, tok, value[proto.LeaseTokenLen:], h.TTL&^proto.SetxNegativeFlag, negative)
@@ -211,7 +194,7 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 		if max <= 0 {
 			max = defaultKeysMax
 		}
-		s.cmdKeys.Add(1)
+		bc.stats.cmds[verbKeys].Add(1)
 		var buf bytes.Buffer
 		s.writeKeys(&buf, max)
 		s.binRespond(w, bc, proto.StatusOK, h.ID, buf.Bytes())
@@ -219,17 +202,19 @@ func (s *Server) dispatchBinary(r *bufio.Reader, w *bufio.Writer, bc *binConn) (
 	return false
 }
 
-// binKey reads an n-byte key without copying: the bytes are viewed in
-// the reader's buffer (n <= MaxKeyLen << buffer size, so Peek never
-// fails on length) and folded through the connection's interner.
-func binKey(r *bufio.Reader, bc *binConn, n int) (string, error) {
+// binKey consumes an n-byte key and returns it as a string that borrows
+// the reader's buffer (n <= MaxKeyLen << buffer size, so Peek never fails
+// on length): no copy, no allocation, and valid only until the next read
+// from r. Lookups take keys in that form (see cache.Engine's borrowed-key
+// contract); SET and SETX, whose key the cache keeps and whose value read
+// reuses the buffer, clone it first.
+func binKey(r *bufio.Reader, n int) (string, error) {
 	b, err := r.Peek(n)
 	if err != nil {
 		return "", err
 	}
-	key := bc.intern.Intern(b)
 	r.Discard(n)
-	return key, nil
+	return unsafe.String(unsafe.SliceData(b), n), nil
 }
 
 // binRespond appends one response frame to the write buffer. Write

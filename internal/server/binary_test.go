@@ -321,9 +321,9 @@ func TestTextLongLineRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("get " + strings.Repeat("x", 1<<20))); err != nil {
-		t.Fatal(err)
-	}
+	// The server hangs up after one buffer's worth, so the tail of this
+	// write may be refused; the reply is what is asserted.
+	conn.Write([]byte("get " + strings.Repeat("x", 1<<20)))
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	line, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil || !strings.HasPrefix(line, "ERROR") {
@@ -344,7 +344,7 @@ func TestTextPipelineBatchesFlushes(t *testing.T) {
 	counting := &writeCountingConn{Conn: rawSrv}
 	done := make(chan struct{})
 	go func() {
-		srv.handle(counting)
+		srv.handle(counting, &connStats{})
 		close(done)
 	}()
 

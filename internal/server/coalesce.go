@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,7 +184,9 @@ func (co *coalescer) acquire(key string) (slot *fillSlot, leader, ok bool) {
 		token:   co.nextTokenLocked(),
 		expires: nw.Add(co.leaseTTL),
 	}
-	co.slots[key] = s
+	// The key came in on a lookup and may alias the connection's read
+	// buffer; the table outlives the request, so it keeps a copy.
+	co.slots[strings.Clone(key)] = s
 	co.grants.Add(1)
 	return s, true, true
 }

@@ -4,8 +4,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"s3fifo/cache"
+	"s3fifo/internal/proto"
 )
 
 // flakyListener fails the first n Accepts with a transient error, then
@@ -231,4 +234,107 @@ func TestMalformedInputNoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: baseline %d, now %d, conns %d",
 		baseline, runtime.NumGoroutine(), srv.connsCurrent())
+}
+
+// deadlineCountingConn counts deadline updates: each is a timer
+// modification under the runtime's netpoll lock, worth avoiding per frame.
+type deadlineCountingConn struct {
+	net.Conn
+	deadlines *atomic.Int64
+}
+
+func (c deadlineCountingConn) SetReadDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c deadlineCountingConn) SetWriteDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+type deadlineCountingListener struct {
+	net.Listener
+	deadlines *atomic.Int64
+}
+
+func (l deadlineCountingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return deadlineCountingConn{conn, l.deadlines}, nil
+}
+
+// TestDeadlinesArmedOnlyBeforeBlockingReads: with a connection timeout
+// set, a pipelined burst of 16 requests costs two deadline updates — the
+// write deadline before its one flush and the read deadline before the
+// wait for the next burst — not one per frame, on both protocols; and the
+// timeout still does its job, hanging up a connection that goes quiet.
+func TestDeadlinesArmedOnlyBeforeBlockingReads(t *testing.T) {
+	const (
+		burst   = 16
+		bursts  = 10
+		timeout = 300 * time.Millisecond
+	)
+	wires := map[string]struct {
+		request  []byte
+		replyLen int
+	}{
+		"binary": {proto.AppendRequest(nil, proto.OpGet, 0, 1, "absent", nil), proto.HeaderLen},
+		"text":   {[]byte("get absent\r\n"), len("END\r\n")},
+	}
+	for name, wire := range wires {
+		t.Run(name, func(t *testing.T) {
+			c, err := cache.New(cache.Config{MaxBytes: 1 << 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(c, WithConnTimeout(timeout))
+			inner, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var deadlines atomic.Int64
+			go srv.Serve(deadlineCountingListener{inner, &deadlines})
+			t.Cleanup(func() { srv.Close() })
+
+			conn, err := net.Dial("tcp", inner.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			replies := make([]byte, burst*wire.replyLen)
+			roundtripBurst := func() {
+				t.Helper()
+				// One write, one segment: the server reads the burst whole.
+				if _, err := conn.Write(bytes.Repeat(wire.request, burst)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, replies); err != nil {
+					t.Fatal(err)
+				}
+			}
+			roundtripBurst() // protocol sniff and first arm are not steady state
+			before := deadlines.Load()
+			for i := 0; i < bursts; i++ {
+				roundtripBurst()
+			}
+			// The arm before the wait for burst n+1 can land on either side of
+			// our read of the count: one update of slack.
+			if got := deadlines.Load() - before; got > 2*bursts+1 {
+				t.Errorf("%d deadline updates for %d bursts of %d requests, want at most 2 a burst", got, bursts, burst)
+			}
+
+			// Quiet now: the server must still hang up.
+			start := time.Now()
+			if _, err := conn.Read(replies); err == nil {
+				t.Fatal("idle connection got data, not a hang-up")
+			}
+			if idle := time.Since(start); idle < timeout/2 || idle > 5*time.Second {
+				t.Errorf("idle connection closed after %v, timeout is %v", idle, timeout)
+			}
+		})
+	}
 }

@@ -40,6 +40,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -49,6 +50,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"s3fifo/cache"
 	"s3fifo/internal/proto"
@@ -86,30 +88,71 @@ type Server struct {
 	grace  time.Duration // stale-while-revalidate ceiling for GETX
 	negTTL time.Duration // default tombstone TTL for negative SETX fills
 
-	// Protocol-level counters: total connections ever accepted and
-	// dispatched commands by verb (only well-formed commands count).
-	// cmd* counters are totals across both wire protocols; bin* count the
-	// binary-protocol share, so text = cmd* - bin*.
+	// Connection-level counters. Dispatched commands are counted per
+	// connection (connStats), not here.
 	connsTotal    atomic.Uint64
 	connsRejected atomic.Uint64 // turned away at the max-conns cap
 	connsBinary   atomic.Uint64 // connections that auto-detected binary
 	acceptRetries atomic.Uint64 // transient Accept errors retried
-	cmdGet        atomic.Uint64
-	cmdSet        atomic.Uint64
-	cmdDelete     atomic.Uint64
-	cmdKeys       atomic.Uint64
-	cmdGetx       atomic.Uint64
-	cmdSetx       atomic.Uint64
-	binGet        atomic.Uint64
-	binSet        atomic.Uint64
-	binDelete     atomic.Uint64
-	binGetx       atomic.Uint64
-	binSetx       atomic.Uint64
 
 	mu       sync.Mutex
 	listener net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*connStats
+	retired  cmdTotals // commands of connections since closed
 	closed   bool
+}
+
+// verb indexes the per-verb command counters.
+type verb int
+
+const (
+	verbGet verb = iota
+	verbSet
+	verbDelete
+	verbKeys
+	verbGetx
+	verbSetx
+	numVerbs
+)
+
+// connStats counts the commands one connection dispatched (well-formed
+// ones only). Its own goroutine is the only writer, so counting a request
+// writes a cache line no other core is writing — the server-wide counters
+// these replace were passed between the connections' cores on every
+// request. Readers sum the live connections and the retired total under
+// Server.mu; dropConn folds a connection into retired under the same
+// lock, so a command is counted exactly once at every instant.
+type connStats struct {
+	binary bool // speaks the binary protocol; guarded by Server.mu
+	cmds   [numVerbs]atomic.Uint64
+}
+
+// cmdTotals are command counts by verb: all over both wire protocols, bin
+// the binary-protocol share, so text = all - bin.
+type cmdTotals struct {
+	all, bin [numVerbs]uint64
+}
+
+func (t *cmdTotals) add(st *connStats) {
+	for v := range st.cmds {
+		n := st.cmds[v].Load()
+		t.all[v] += n
+		if st.binary {
+			t.bin[v] += n
+		}
+	}
+}
+
+// commands returns the dispatched-command totals. Scrape-time: it walks
+// the live connections under the server mutex.
+func (s *Server) commands() cmdTotals {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.retired
+	for _, st := range s.conns {
+		t.add(st)
+	}
+	return t
 }
 
 // Option configures a Server at construction.
@@ -123,9 +166,9 @@ func WithMaxConns(n int) Option {
 }
 
 // WithConnTimeout bounds how long the server waits on a client: the
-// read deadline is re-armed before each command (so d is an idle
-// timeout) and the write deadline before each response flush. d <= 0
-// means no deadlines (the default).
+// read deadline is re-armed before each read that has to wait for the
+// client (so d is an idle timeout) and the write deadline before each
+// response flush. d <= 0 means no deadlines (the default).
 func WithConnTimeout(d time.Duration) Option {
 	return func(s *Server) { s.connTimeout = d }
 }
@@ -149,7 +192,7 @@ func WithNodeID(id string) Option {
 
 // New returns a server around c.
 func New(c *cache.Cache, opts ...Option) *Server {
-	s := &Server{cache: c, conns: make(map[net.Conn]struct{}), start: time.Now()}
+	s := &Server{cache: c, conns: make(map[net.Conn]*connStats), start: time.Now()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -190,12 +233,15 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 		"Transient Accept errors retried with backoff.",
 		nil, func() uint64 { return s.acceptRetries.Load() })
 	cmdHelp := "Dispatched protocol commands by verb."
-	reg.CounterFunc("server_commands_total", cmdHelp,
-		telemetry.Labels{{Key: "cmd", Value: "get"}}, s.cmdGet.Load)
-	reg.CounterFunc("server_commands_total", cmdHelp,
-		telemetry.Labels{{Key: "cmd", Value: "set"}}, s.cmdSet.Load)
-	reg.CounterFunc("server_commands_total", cmdHelp,
-		telemetry.Labels{{Key: "cmd", Value: "delete"}}, s.cmdDelete.Load)
+	for _, f := range []struct {
+		cmd string
+		v   verb
+	}{{"get", verbGet}, {"set", verbSet}, {"delete", verbDelete}} {
+		f := f
+		reg.CounterFunc("server_commands_total", cmdHelp,
+			telemetry.Labels{{Key: "cmd", Value: f.cmd}},
+			func() uint64 { return s.commands().all[f.v] })
+	}
 	reg.CounterFunc("server_binary_connections_total",
 		"Connections that auto-detected the binary protocol.",
 		nil, s.connsBinary.Load)
@@ -218,26 +264,20 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 		reg.GaugeFunc("server_coalesce_inflight", "In-flight fill slots.",
 			nil, func() float64 { return float64(co.inflight()) })
 	}
-	// Per-protocol command families: the binary side is counted directly;
-	// the text side is the monotonic difference (cmd* counts both).
+	// Per-protocol command families: a connection speaks one protocol for
+	// life, so the split is by connection.
 	protoHelp := "Dispatched protocol commands by verb and wire protocol."
 	for _, f := range []struct {
-		cmd        string
-		total, bin *atomic.Uint64
-	}{
-		{"get", &s.cmdGet, &s.binGet},
-		{"set", &s.cmdSet, &s.binSet},
-		{"delete", &s.cmdDelete, &s.binDelete},
-		{"getx", &s.cmdGetx, &s.binGetx},
-		{"setx", &s.cmdSetx, &s.binSetx},
-	} {
+		cmd string
+		v   verb
+	}{{"get", verbGet}, {"set", verbSet}, {"delete", verbDelete}, {"getx", verbGetx}, {"setx", verbSetx}} {
 		f := f
 		reg.CounterFunc("server_proto_commands_total", protoHelp,
 			telemetry.Labels{{Key: "cmd", Value: f.cmd}, {Key: "proto", Value: "binary"}},
-			f.bin.Load)
+			func() uint64 { return s.commands().bin[f.v] })
 		reg.CounterFunc("server_proto_commands_total", protoHelp,
 			telemetry.Labels{{Key: "cmd", Value: f.cmd}, {Key: "proto", Value: "text"}},
-			func() uint64 { return f.total.Load() - f.bin.Load() })
+			func() uint64 { t := s.commands(); return t.all[f.v] - t.bin[f.v] })
 	}
 }
 
@@ -289,10 +329,11 @@ func (s *Server) Serve(l net.Listener) error {
 			conn.Close()
 			continue
 		}
-		s.conns[conn] = struct{}{}
+		st := &connStats{}
+		s.conns[conn] = st
 		s.mu.Unlock()
 		s.connsTotal.Add(1)
-		go s.handle(conn)
+		go s.handle(conn, st)
 	}
 }
 
@@ -332,20 +373,56 @@ func (s *Server) Close() error {
 
 func (s *Server) dropConn(conn net.Conn) {
 	s.mu.Lock()
-	delete(s.conns, conn)
+	if st := s.conns[conn]; st != nil {
+		s.retired.add(st)
+		delete(s.conns, conn)
+	}
 	s.mu.Unlock()
 	conn.Close()
 }
 
-func (s *Server) handle(conn net.Conn) {
+// idleTimer re-arms a connection's read deadline — but only before a read
+// the bytes already buffered cannot satisfy, the one kind that can wait
+// on the client. A pipelined burst is served from the buffer and pays for
+// no timer update per frame; the deadline still covers every wait,
+// payload reads included.
+type idleTimer struct {
+	conn net.Conn
+	d    time.Duration // <= 0: no deadlines
+}
+
+// arm is called before reading need bytes from r.
+func (t idleTimer) arm(r *bufio.Reader, need int) {
+	if t.d > 0 && r.Buffered() < need {
+		t.conn.SetReadDeadline(time.Now().Add(t.d))
+	}
+}
+
+// armWrite is called before a flush.
+func (t idleTimer) armWrite() {
+	if t.d > 0 {
+		t.conn.SetWriteDeadline(time.Now().Add(t.d))
+	}
+}
+
+// armLine is called before reading a line from r.
+func (t idleTimer) armLine(r *bufio.Reader) {
+	if t.d <= 0 {
+		return
+	}
+	if b, _ := r.Peek(r.Buffered()); bytes.IndexByte(b, '\n') < 0 {
+		t.conn.SetReadDeadline(time.Now().Add(t.d))
+	}
+}
+
+func (s *Server) handle(conn net.Conn, st *connStats) {
 	defer s.dropConn(conn)
 	r := bufio.NewReaderSize(conn, 16<<10)
 	w := bufio.NewWriterSize(conn, 16<<10)
+	idle := idleTimer{conn: conn, d: s.connTimeout}
 	// Protocol selection: one peeked byte. 0x80 is outside printable
 	// ASCII, so no text command can start a binary frame or vice versa.
-	if s.connTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(s.connTimeout))
-	}
+	idle.arm(r, 1)
 	first, err := r.Peek(1)
 	if err != nil {
 		return
@@ -355,7 +432,10 @@ func (s *Server) handle(conn net.Conn) {
 			return // binary framing disabled: drop silently, no text reply parses
 		}
 		s.connsBinary.Add(1)
-		s.handleBinary(conn, r, w)
+		s.mu.Lock()
+		st.binary = true
+		s.mu.Unlock()
+		s.handleBinary(r, w, &binConn{stats: st, idle: idle})
 		return
 	}
 	if s.protoMode == "binary" {
@@ -363,21 +443,15 @@ func (s *Server) handle(conn net.Conn) {
 		w.Flush()
 		return
 	}
-	s.handleText(conn, r, w)
+	s.handleText(r, w, &textConn{stats: st, idle: idle})
 }
 
 // handleText runs the text-protocol command loop. Responses are batched:
 // the writer flushes only when the read buffer drains, so a pipelined
 // client burst costs one write syscall, not one per command.
-func (s *Server) handleText(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
-	tc := &textConn{}
+func (s *Server) handleText(r *bufio.Reader, w *bufio.Writer, tc *textConn) {
 	for {
-		// The read deadline is re-armed per command, making connTimeout an
-		// idle timeout; it also bounds each command's payload read, since
-		// the deadline is an absolute time covering the whole iteration.
-		if s.connTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.connTimeout))
-		}
+		tc.idle.armLine(r)
 		line, err := readLine(r)
 		if err != nil {
 			if errors.Is(err, bufio.ErrBufferFull) {
@@ -401,9 +475,7 @@ func (s *Server) handleText(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
 		if r.Buffered() > 0 {
 			continue // more pipelined commands already here: keep batching
 		}
-		if s.connTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.connTimeout))
-		}
+		tc.idle.armWrite()
 		if err := w.Flush(); err != nil {
 			return
 		}
@@ -414,6 +486,11 @@ func (s *Server) handleText(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
 // The line must fit the reader's buffer: ReadSlice surfaces
 // bufio.ErrBufferFull for anything longer, bounding what one connection
 // can make the server hold (ReadString would buffer without limit).
+//
+// The returned string borrows r's buffer: it, and every field cut from
+// it, is valid only until the next read from r. Lookups take keys in that
+// form (see cache.Engine's borrowed-key contract); a command that stores
+// its key, or reads a payload after the line, clones what it needs first.
 func readLine(r *bufio.Reader) (string, error) {
 	b, err := r.ReadSlice('\n')
 	if err != nil {
@@ -422,16 +499,29 @@ func readLine(r *bufio.Reader) (string, error) {
 	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r') {
 		b = b[:len(b)-1]
 	}
-	return string(b), nil
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
 }
 
-// textConn is per-connection text-protocol state: whether the peer has
-// revealed itself as a memcached client. The dialect is sticky — after
-// any memcached-distinctive command (5-token set, multi-key get, gets,
-// version, noreply), VALUE lines carry the memcached flags column for
-// the rest of the connection.
+// textConn is per-connection text-protocol state: the command counters,
+// the idle timer, and whether the peer has revealed itself as a memcached
+// client. The dialect is sticky — after any memcached-distinctive command
+// (5-token set, multi-key get, gets, version, noreply), VALUE lines carry
+// the memcached flags column for the rest of the connection.
 type textConn struct {
+	stats     *connStats
+	idle      idleTimer
 	memcached bool
+}
+
+// readPayload reads a command's n-byte value and its terminator. The
+// value is allocated, not pooled: the cache keeps the slice.
+func (tc *textConn) readPayload(r *bufio.Reader, n int) ([]byte, error) {
+	tc.idle.arm(r, n+2)
+	value := make([]byte, n)
+	if _, err := io.ReadFull(r, value); err != nil {
+		return nil, err // payload truncated: connection unusable
+	}
+	return value, expectCRLF(r)
 }
 
 // dispatch executes one command. Protocol errors are reported to the
@@ -450,7 +540,7 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 			return false, protoErr(w, "usage: get <key>")
 		}
 		if !tc.memcached {
-			s.cmdGet.Add(1)
+			tc.stats.cmds[verbGet].Add(1)
 			v, ok := s.cache.Get(fields[1])
 			if !ok {
 				// Miss coalescing: if another fill for this key is already
@@ -473,7 +563,7 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 		// cas column for gets (always 0 — no cas support).
 		withCas := fields[0] == "gets"
 		for _, key := range fields[1:] {
-			s.cmdGet.Add(1)
+			tc.stats.cmds[verbGet].Add(1)
 			v, ok := s.cache.Get(key)
 			if !ok {
 				continue
@@ -492,13 +582,12 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 	case "set":
 		if len(fields) >= 5 {
 			tc.memcached = true
-			return s.memcachedSet(r, w, fields)
+			return s.memcachedSet(tc, r, w, fields)
 		}
 		if len(fields) != 3 && len(fields) != 4 {
 			return false, protoErr(w, "usage: set <key> <len> [ttl]")
 		}
-		key := fields[1]
-		if len(key) > MaxKeyLen {
+		if len(fields[1]) > MaxKeyLen {
 			return false, protoErr(w, "key too long")
 		}
 		n, err := strconv.Atoi(fields[2])
@@ -513,14 +602,12 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 			}
 			ttl = time.Duration(secs) * time.Second
 		}
-		value := make([]byte, n)
-		if _, err := io.ReadFull(r, value); err != nil {
-			return true, err // payload truncated: connection unusable
-		}
-		if err := expectCRLF(r); err != nil {
+		key := strings.Clone(fields[1]) // the copy the cache keeps
+		value, err := tc.readPayload(r, n)
+		if err != nil {
 			return true, err
 		}
-		s.cmdSet.Add(1)
+		tc.stats.cmds[verbSet].Add(1)
 		stored := false
 		if ttl > 0 {
 			stored = s.cache.SetWithTTL(key, value, ttl)
@@ -543,12 +630,8 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 		if len(fields) != 2 && !noreply {
 			return false, protoErr(w, "usage: delete <key>")
 		}
-		s.cmdDelete.Add(1)
-		// Contains only shapes the DELETED/NOT_FOUND answer; the delete
-		// itself is unconditional because a tier may hold keys Contains
-		// cannot see (the remote tier reports false by design).
-		existed := s.cache.Contains(fields[1])
-		s.cache.Delete(fields[1])
+		tc.stats.cmds[verbDelete].Add(1)
+		existed := s.cache.Delete(fields[1])
 		s.noteDelete(fields[1])
 		if noreply {
 			return false, nil
@@ -581,7 +664,7 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 			}
 			graceSec = uint32(g)
 		}
-		s.cmdGetx.Add(1)
+		tc.stats.cmds[verbGetx].Add(1)
 		v, tok, slot, out := s.getxBegin(key, graceSec)
 		if out == getxPark {
 			v, out = s.getxFinish(slot)
@@ -608,10 +691,10 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 		if len(fields) != 4 && len(fields) != 5 {
 			return false, protoErr(w, "usage: setx <key> <token> <len|neg> [ttl]")
 		}
-		key := fields[1]
-		if len(key) > MaxKeyLen {
+		if len(fields[1]) > MaxKeyLen {
 			return false, protoErr(w, "key too long")
 		}
+		key := strings.Clone(fields[1]) // kept: by the cache, or the negative table
 		tok, err := strconv.ParseUint(fields[2], 16, 64)
 		if err != nil {
 			return false, protoErr(w, "bad token")
@@ -627,7 +710,7 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 			ttlSec = uint32(t)
 		}
 		if fields[3] == "neg" {
-			s.cmdSetx.Add(1)
+			tc.stats.cmds[verbSetx].Add(1)
 			if s.setx(key, tok, nil, ttlSec, true) == proto.StatusOK {
 				w.WriteString("STORED\r\n")
 			} else {
@@ -639,14 +722,11 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 		if err != nil || n < 0 || n > MaxValueLen {
 			return false, protoErr(w, "bad length")
 		}
-		value := make([]byte, n)
-		if _, err := io.ReadFull(r, value); err != nil {
-			return true, err // payload truncated: connection unusable
-		}
-		if err := expectCRLF(r); err != nil {
+		value, err := tc.readPayload(r, n)
+		if err != nil {
 			return true, err
 		}
-		s.cmdSetx.Add(1)
+		tc.stats.cmds[verbSetx].Add(1)
 		switch s.setx(key, tok, value, ttlSec, false) {
 		case proto.StatusOK:
 			w.WriteString("STORED\r\n")
@@ -681,7 +761,7 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 			}
 			max = n
 		}
-		s.cmdKeys.Add(1)
+		tc.stats.cmds[verbKeys].Add(1)
 		s.writeKeys(w, max)
 		w.WriteString("END\r\n")
 		return false, nil
@@ -699,13 +779,12 @@ func (s *Server) dispatch(tc *textConn, r *bufio.Reader, w *bufio.Writer, line s
 // relative seconds (the >30-days-means-unix-timestamp rule is not
 // implemented — load generators use 0 or small values). Errors use the
 // memcached CLIENT_ERROR form so strict client parsers recover.
-func (s *Server) memcachedSet(r *bufio.Reader, w *bufio.Writer, fields []string) (quit bool, err error) {
+func (s *Server) memcachedSet(tc *textConn, r *bufio.Reader, w *bufio.Writer, fields []string) (quit bool, err error) {
 	noreply := len(fields) == 6 && fields[5] == "noreply"
 	if len(fields) != 5 && !noreply {
 		return false, clientErr(w, "bad command line format")
 	}
-	key := fields[1]
-	if len(key) > MaxKeyLen {
+	if len(fields[1]) > MaxKeyLen {
 		return false, clientErr(w, "key too long")
 	}
 	if _, err := strconv.ParseUint(fields[2], 10, 32); err != nil {
@@ -719,14 +798,12 @@ func (s *Server) memcachedSet(r *bufio.Reader, w *bufio.Writer, fields []string)
 	if err != nil || n < 0 || n > MaxValueLen {
 		return false, clientErr(w, "bad data chunk size")
 	}
-	value := make([]byte, n)
-	if _, err := io.ReadFull(r, value); err != nil {
-		return true, err // payload truncated: connection unusable
-	}
-	if err := expectCRLF(r); err != nil {
+	key := strings.Clone(fields[1]) // the copy the cache keeps
+	value, err := tc.readPayload(r, n)
+	if err != nil {
 		return true, err
 	}
-	s.cmdSet.Add(1)
+	tc.stats.cmds[verbSet].Add(1)
 	var stored bool
 	if exp > 0 {
 		stored = s.cache.SetWithTTL(key, value, time.Duration(exp)*time.Second)
@@ -807,14 +884,15 @@ func (s *Server) writeStats(w io.Writer) {
 	fmt.Fprintf(w, "STAT total_connections %d\r\n", s.connsTotal.Load())
 	fmt.Fprintf(w, "STAT rejected_connections %d\r\n", s.connsRejected.Load())
 	fmt.Fprintf(w, "STAT accept_retries %d\r\n", s.acceptRetries.Load())
-	fmt.Fprintf(w, "STAT cmd_get %d\r\n", s.cmdGet.Load())
-	fmt.Fprintf(w, "STAT cmd_set %d\r\n", s.cmdSet.Load())
-	fmt.Fprintf(w, "STAT cmd_delete %d\r\n", s.cmdDelete.Load())
-	fmt.Fprintf(w, "STAT cmd_getx %d\r\n", s.cmdGetx.Load())
-	fmt.Fprintf(w, "STAT cmd_setx %d\r\n", s.cmdSetx.Load())
-	fmt.Fprintf(w, "STAT cmd_get_binary %d\r\n", s.binGet.Load())
-	fmt.Fprintf(w, "STAT cmd_set_binary %d\r\n", s.binSet.Load())
-	fmt.Fprintf(w, "STAT cmd_delete_binary %d\r\n", s.binDelete.Load())
+	cmds := s.commands()
+	fmt.Fprintf(w, "STAT cmd_get %d\r\n", cmds.all[verbGet])
+	fmt.Fprintf(w, "STAT cmd_set %d\r\n", cmds.all[verbSet])
+	fmt.Fprintf(w, "STAT cmd_delete %d\r\n", cmds.all[verbDelete])
+	fmt.Fprintf(w, "STAT cmd_getx %d\r\n", cmds.all[verbGetx])
+	fmt.Fprintf(w, "STAT cmd_setx %d\r\n", cmds.all[verbSetx])
+	fmt.Fprintf(w, "STAT cmd_get_binary %d\r\n", cmds.bin[verbGet])
+	fmt.Fprintf(w, "STAT cmd_set_binary %d\r\n", cmds.bin[verbSet])
+	fmt.Fprintf(w, "STAT cmd_delete_binary %d\r\n", cmds.bin[verbDelete])
 	fmt.Fprintf(w, "STAT binary_connections %d\r\n", s.connsBinary.Load())
 	fmt.Fprintf(w, "STAT stale_served %d\r\n", st.StaleServed)
 	fmt.Fprintf(w, "STAT negative_hits %d\r\n", st.NegativeHits)
