@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench-test bench bench-allocs bench-scaling bench-overhead throughput flashbench herdbench
+.PHONY: all build vet test race tier1 bench-test bench bench-allocs bench-scaling bench-heap bench-overhead throughput flashbench herdbench
 
 all: tier1
 
@@ -55,6 +55,14 @@ bench-allocs:
 # CPU.
 bench-scaling:
 	$(GO) test -run='^TestHitScalingGate$$' -v ./cache -scaling-gate
+
+# Steady-state heap gate: after S has peaked at the whole cache and 20x
+# the capacity of mixed traffic has shrunk it to its 10 %, the live heap
+# per resident entry of concurrent.KV must stay under the bound (about
+# 1.35x what the block queues measure; a queue that pins what it popped
+# reads 2x). Skipped under -race.
+bench-heap:
+	$(GO) test -run='^TestSteadyStateHeapPerEntry$$' -v ./internal/concurrent
 
 # Telemetry-overhead gate: fails when a live metrics registry costs more
 # than 5% throughput vs the nil-registry fast path (DESIGN.md §9).

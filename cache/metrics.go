@@ -161,6 +161,9 @@ func registerCacheFuncs(reg *telemetry.Registry, c *Cache) {
 		nil, func() float64 { return float64(c.engine.Used()) })
 	reg.GaugeFunc("cache_capacity_bytes", "Configured DRAM capacity.",
 		nil, func() float64 { return float64(c.engine.Capacity()) })
+	reg.GaugeFunc("process_heap_objects_bytes",
+		"Heap bytes in objects, process-wide; over cache_used_bytes it is the heap held per charged byte.",
+		nil, func() float64 { return float64(telemetry.HeapObjectsBytes()) })
 
 	// Queue occupancy samples under engine locks — scrape-time only.
 	qbHelp := "S3-FIFO queue occupancy in bytes."

@@ -105,55 +105,116 @@ type entry[K comparable] struct {
 	val []byte
 }
 
-// ring is a slice-backed FIFO of entries with size accounting, guarded by
-// the shard mutex.
+// blockSlots sizes a queue block to the 2 KiB malloc class: 253 entry
+// pointers, the link and the two cursors.
+const blockSlots = 253
+
+// block is one fixed link of a ring: slots[r:w] are queued, every other
+// slot is nil.
+type block[K comparable] struct {
+	next  *block[K]
+	r, w  int
+	slots [blockSlots]*entry[K]
+}
+
+// ring is the FIFO of entries with size accounting, guarded by the shard
+// mutex: a chain of fixed blocks, pushed at the tail and popped at the
+// head. It references what is queued and nothing else — a popped slot is
+// nilled and a drained block leaves the chain whole — so the memory S
+// needed while it was the entire cache (M starts empty) is garbage once S
+// has shrunk to its 10 %, instead of an array that pins the entries
+// evicted since, keys and values included. The chain is at most
+// len/blockSlots + 2 blocks, plus one zeroed spare so that steady-state
+// push/pop allocates nothing; no push or pop moves or copies the queue.
 type ring[K comparable] struct {
-	buf   []*entry[K]
-	head  int
-	bytes uint64 // total size of queued entries, dead ones included
+	head, tail *block[K] // both nil when empty: the chain holds no empty block
+	spare      *block[K]
+	n          int
+	bytes      uint64 // total size of queued entries, dead ones included
 }
 
 func (q *ring[K]) push(e *entry[K]) {
-	q.buf = append(q.buf, e)
+	b := q.tail
+	if b == nil || b.w == blockSlots {
+		if b = q.spare; b == nil {
+			b = new(block[K])
+		}
+		q.spare = nil
+		if q.tail == nil {
+			q.head = b
+		} else {
+			q.tail.next = b
+		}
+		q.tail = b
+	}
+	b.slots[b.w] = e
+	b.w++
+	q.n++
 	q.bytes += uint64(e.size)
 }
 
 func (q *ring[K]) pop() *entry[K] {
-	if q.head >= len(q.buf) {
+	b := q.head
+	if b == nil {
 		return nil
 	}
-	e := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
+	e := b.slots[b.r]
+	b.slots[b.r] = nil
+	b.r++
+	q.n--
 	q.bytes -= uint64(e.size)
-	// Compact occasionally so memory stays bounded.
-	if q.head > 1024 && q.head*2 > len(q.buf) {
-		q.buf = append(q.buf[:0], q.buf[q.head:]...)
-		q.head = 0
+	if b.r == b.w {
+		if q.head = b.next; q.head == nil {
+			q.tail = nil
+		}
+		q.recycle(b)
 	}
 	return e
 }
 
-func (q *ring[K]) len() int { return len(q.buf) - q.head }
+// recycle takes a block that has left the chain: zeroed and kept as the
+// spare if there is none, left to the collector otherwise.
+func (q *ring[K]) recycle(b *block[K]) {
+	if q.spare == nil {
+		*b = block[K]{}
+		q.spare = b
+	}
+}
+
+func (q *ring[K]) len() int { return q.n }
+
+// each calls fn on the queued entries in FIFO order until it returns
+// false, and reports whether it reached the end.
+func (q *ring[K]) each(fn func(*entry[K]) bool) bool {
+	for b := q.head; b != nil; b = b.next {
+		for _, e := range b.slots[b.r:b.w] {
+			if !fn(e) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // sweep removes tombstoned entries in one pass, preserving FIFO order.
 // Dead entries are otherwise reclaimed only when an eviction scan reaches
 // them; sweeping in batch keeps delete-heavy workloads from dragging dead
-// weight through every scan.
+// weight through every scan. The chain is rebuilt by pushing the
+// survivors of each old block in turn; the writer cannot overtake the
+// reader, so it allocates at most its first block.
 func (q *ring[K]) sweep() {
-	w := q.head
-	for i := q.head; i < len(q.buf); i++ {
-		if e := q.buf[i]; !e.dead.Load() {
-			q.buf[w] = e
-			w++
-		} else {
-			q.bytes -= uint64(e.size)
+	b := q.head
+	q.head, q.tail, q.n, q.bytes = nil, nil, 0, 0
+	for b != nil {
+		for _, e := range b.slots[b.r:b.w] {
+			if !e.dead.Load() {
+				q.push(e)
+			}
 		}
+		next := b.next
+		q.recycle(b)
+		b = next
 	}
-	for i := w; i < len(q.buf); i++ {
-		q.buf[i] = nil
-	}
-	q.buf = q.buf[:w]
 }
 
 const (

@@ -64,13 +64,8 @@ func (c *KV) SnapshotMeta(fn func(MetaRecord) bool) {
 	}
 	for si, s := range c.shards {
 		s.mu.Lock()
-		ok := true
-		for i := s.small.head; ok && i < len(s.small.buf); i++ {
-			ok = emit(s.small.buf[i], MetaSmall)
-		}
-		for i := s.main.head; ok && i < len(s.main.buf); i++ {
-			ok = emit(s.main.buf[i], MetaMain)
-		}
+		ok := s.small.each(func(e *entry[string]) bool { return emit(e, MetaSmall) }) &&
+			s.main.each(func(e *entry[string]) bool { return emit(e, MetaMain) })
 		if ok {
 			shard := uint32(si)
 			s.ghost.Export(func(fp uint32) bool {

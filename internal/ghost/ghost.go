@@ -5,8 +5,17 @@
 // entries are not removed eagerly — their slots are reclaimed on collision,
 // exactly as the paper describes.
 //
-// The table stores no object data, so a ghost queue tracking as many
-// entries as the main cache costs only a few bytes per object.
+// The table stores no object data. A slot is 8 bytes — the fingerprint
+// and the low 32 bits of the insertion time — a bucket of four is half a
+// cache line, and the table keeps 2–4 slots per tracked entry (2x
+// headroom, rounded up to a power of two): 16–32 bytes per ghost entry.
+//
+// Ages are wrapping 32-bit differences from the queue's 64-bit clock,
+// which is exact while an age stays below 2³²: capacity is clamped below
+// 2³¹, and once every 2³¹ insertions a scrub frees every slot that is not
+// live, so no slot is ever older than 2³² − 1 insertions. The one
+// observable difference from 64-bit timestamps is that an entry already
+// expired when a scrub ran cannot be revived by a later Resize upward.
 package ghost
 
 import (
@@ -15,12 +24,16 @@ import (
 	"s3fifo/internal/sketch"
 )
 
-const slotsPerBucket = 4
+const (
+	slotsPerBucket = 4
+
+	// maxCapacity keeps every live age, and the scrub period, below 2³¹.
+	maxCapacity = 1<<31 - 1
+)
 
 type slot struct {
-	fingerprint uint32
-	insertedAt  uint64 // logical time: count of insertions into the queue
-	used        bool
+	fingerprint uint32 // 0 = unused (locate never produces it)
+	insertedAt  uint32 // low 32 bits of the queue clock at insertion
 }
 
 // Queue is a fixed-capacity ghost FIFO queue.
@@ -35,9 +48,7 @@ type Queue struct {
 // New returns a ghost queue that remembers approximately the last capacity
 // insertions.
 func New(capacity int) *Queue {
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity = min(max(capacity, 1), maxCapacity)
 	return &Queue{
 		buckets:  make([][slotsPerBucket]slot, bucketsFor(capacity)),
 		mask:     uint64(bucketsFor(capacity) - 1),
@@ -64,9 +75,7 @@ func (q *Queue) Capacity() int { return int(q.capacity) }
 // headroom the bucket array was built for, the table regrows and live
 // entries migrate, so a queue resized upward keeps its collision rate.
 func (q *Queue) Resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity = min(max(capacity, 1), maxCapacity)
 	q.capacity = uint64(capacity)
 	if need := bucketsFor(capacity); need > len(q.buckets) {
 		q.regrow(need)
@@ -121,8 +130,23 @@ func (q *Queue) locate(key uint64) (bucket uint64, fp uint32) {
 	return q.bucketOf(fp), fp
 }
 
+// age is the number of insertions since s was inserted or refreshed.
+func (q *Queue) age(s slot) uint32 { return uint32(q.clock) - s.insertedAt }
+
 func (q *Queue) live(s slot) bool {
-	return s.used && q.clock-s.insertedAt < q.capacity
+	return s.fingerprint != 0 && uint64(q.age(s)) < q.capacity
+}
+
+// scrub frees every slot that is not live, so that the survivors' ages
+// are all below 2³¹ (see the package doc).
+func (q *Queue) scrub() {
+	for i := range q.buckets {
+		for j, s := range q.buckets[i] {
+			if !q.live(s) {
+				q.buckets[i][j] = slot{}
+			}
+		}
+	}
 }
 
 // Insert records key as freshly evicted. Inserting an existing live entry
@@ -142,11 +166,15 @@ func (q *Queue) InsertFingerprint(fp uint32) {
 		fp = 1 // reserve 0 so a zero-value slot never matches
 	}
 	q.clock++
+	if q.clock%(1<<31) == 0 {
+		q.scrub()
+	}
+	now := uint32(q.clock)
 	bucket := &q.buckets[q.bucketOf(fp)]
 	// Refresh if present.
 	for i := range bucket {
-		if bucket[i].used && bucket[i].fingerprint == fp {
-			bucket[i].insertedAt = q.clock
+		if bucket[i].fingerprint == fp {
+			bucket[i].insertedAt = now
 			return
 		}
 	}
@@ -158,11 +186,11 @@ func (q *Queue) InsertFingerprint(fp uint32) {
 			victim = i
 			break
 		}
-		if bucket[i].insertedAt < bucket[victim].insertedAt {
+		if q.age(bucket[i]) > q.age(bucket[victim]) {
 			victim = i
 		}
 	}
-	bucket[victim] = slot{fingerprint: fp, insertedAt: q.clock, used: true}
+	bucket[victim] = slot{fingerprint: fp, insertedAt: now}
 }
 
 // Contains reports whether key is currently in the ghost queue.
@@ -170,7 +198,7 @@ func (q *Queue) Contains(key uint64) bool {
 	b, fp := q.locate(key)
 	bucket := &q.buckets[b]
 	for i := range bucket {
-		if bucket[i].used && bucket[i].fingerprint == fp && q.live(bucket[i]) {
+		if bucket[i].fingerprint == fp && q.live(bucket[i]) {
 			q.hits++
 			return true
 		}
@@ -184,7 +212,7 @@ func (q *Queue) Remove(key uint64) {
 	b, fp := q.locate(key)
 	bucket := &q.buckets[b]
 	for i := range bucket {
-		if bucket[i].used && bucket[i].fingerprint == fp {
+		if bucket[i].fingerprint == fp {
 			bucket[i] = slot{}
 			return
 		}
@@ -204,21 +232,17 @@ func (q *Queue) ResetHits() { q.hits = 0 }
 // entries in the same relative order as the original (linear scan plus a
 // sort — snapshot-path only, never the hot path).
 func (q *Queue) Export(fn func(fp uint32) bool) {
-	type ent struct {
-		fp uint32
-		at uint64
-	}
-	live := make([]ent, 0, 64)
+	live := make([]slot, 0, 64)
 	for i := range q.buckets {
 		for _, s := range q.buckets[i] {
 			if q.live(s) {
-				live = append(live, ent{fp: s.fingerprint, at: s.insertedAt})
+				live = append(live, s)
 			}
 		}
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].at < live[b].at })
+	sort.Slice(live, func(a, b int) bool { return q.age(live[a]) > q.age(live[b]) })
 	for _, e := range live {
-		if !fn(e.fp) {
+		if !fn(e.fingerprint) {
 			return
 		}
 	}

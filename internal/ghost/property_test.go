@@ -14,17 +14,30 @@
 package ghost
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
+// TestQueueMatchesReferenceModel runs the model, which keeps 64-bit
+// times, against a queue whose clock starts at zero, just below 2³¹ (the
+// scrub is crossed mid-run) and just below 2³² (the slots' 32-bit times
+// wrap mid-run), resizing down and up (past a regrow) on the way.
 func TestQueueMatchesReferenceModel(t *testing.T) {
-	const capacity = 256
-	q := New(capacity)
+	for _, start := range []uint64{0, 1<<31 - 30000, 1<<32 - 30000, 5<<32 - 30000} {
+		t.Run(fmt.Sprintf("clock=%#x", start), func(t *testing.T) { runAgainstModel(t, start) })
+	}
+}
+
+func runAgainstModel(t *testing.T, start uint64) {
+	capacity := uint64(256)
+	q := New(int(capacity))
+	q.clock = start
 	rng := rand.New(rand.NewSource(7))
 
 	model := map[uint32]uint64{} // fingerprint -> latest logical insert time
-	clock := uint64(0)
+	clock := start
 	keys := make([]uint64, 4096)
 	for i := range keys {
 		keys[i] = rng.Uint64()
@@ -34,7 +47,7 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 		return ok && clock-at < capacity
 	}
 
-	var liveChecks, falseNegatives int
+	var liveChecks, falseNegatives, exported int
 	sweep := func(step int) {
 		for _, k := range keys {
 			_, fp := q.locate(k)
@@ -50,8 +63,23 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 				}
 			}
 		}
+		// Export is oldest-first by the model's 64-bit times.
+		last := uint64(0)
+		q.Export(func(fp uint32) bool {
+			if !modelLive(fp) {
+				t.Fatalf("step %d: Export gave fp %#x, which the model says is not live", step, fp)
+			}
+			at := model[fp]
+			if at <= last {
+				t.Fatalf("step %d: Export out of order: fp %#x inserted at %d after one at %d", step, fp, at, last)
+			}
+			last = at
+			exported++
+			return true
+		})
 	}
 
+	resizes := []uint64{64, 1024, 128, 300, 256}
 	for step := 0; step < 60000; step++ {
 		k := keys[rng.Intn(len(keys))]
 		_, fp := q.locate(k)
@@ -66,17 +94,59 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 		if q.clock != clock {
 			t.Fatalf("step %d: queue clock %d drifted from model clock %d", step, q.clock, clock)
 		}
+		if step%5000 == 2500 {
+			capacity = resizes[step/5000%len(resizes)]
+			q.Resize(int(capacity))
+		}
 		if step%1000 == 0 {
 			sweep(step)
 		}
 	}
 	sweep(60000)
-	if liveChecks == 0 {
+	if liveChecks == 0 || exported == 0 {
 		t.Fatal("model never had a live entry; test is vacuous")
 	}
 	if ratio := float64(falseNegatives) / float64(liveChecks); ratio > 0.05 {
 		t.Errorf("false-negative ratio %.3f (%d/%d): displacement should be rare with 2x headroom",
 			ratio, falseNegatives, liveChecks)
+	}
+}
+
+// TestScrubFreesEverySlotNotLive pins the rule that keeps 32-bit ages
+// exact: the insertion that brings the clock to a multiple of 2³¹ leaves
+// no used slot that is not live.
+func TestScrubFreesEverySlotNotLive(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 8 {
+		t.Fatalf("slot is %d bytes, want 8", got)
+	}
+	const capacity = 8
+	q := New(capacity)
+	q.clock = 1<<31 - 20
+	used := func() (n int) {
+		for i := range q.buckets {
+			for _, s := range q.buckets[i] {
+				if s.fingerprint != 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for k := uint64(0); k < 19; k++ {
+		q.Insert(k)
+	}
+	if used() <= q.Len() {
+		t.Fatalf("no expired slot to scrub: %d used, %d live", used(), q.Len())
+	}
+	q.Insert(19) // clock reaches 2³¹
+	if q.clock != 1<<31 {
+		t.Fatalf("clock = %d, want 2^31", q.clock)
+	}
+	if u, l := used(), q.Len(); u != l || l == 0 {
+		t.Fatalf("after the scrub %d slots are used and %d live", u, l)
+	}
+	if !q.Contains(19) || !q.Contains(15) || q.Contains(11) {
+		t.Fatal("scrub changed which entries are live")
 	}
 }
 
@@ -159,6 +229,34 @@ func TestStaleSlotsReclaimedOnCollision(t *testing.T) {
 	}
 	if live != 1 {
 		t.Fatalf("bucket holds %d live entries, want exactly the newcomer", live)
+	}
+}
+
+// TestOldestDisplacedAcrossTheWrap: a full bucket of live entries whose
+// 32-bit times straddle the wrap must still give up its oldest to an
+// insertion, and Export must still list the rest oldest-first.
+func TestOldestDisplacedAcrossTheWrap(t *testing.T) {
+	q := New(64)
+	q.clock = 1<<32 - 2 // the four land at 2³²−1, 2³², 2³²+1, 2³²+2
+	mates := bucketMates(q, 42, slotsPerBucket+1)
+	for _, k := range mates[:slotsPerBucket] {
+		q.Insert(k)
+	}
+	q.Insert(mates[slotsPerBucket])
+	if q.Contains(mates[0]) {
+		t.Fatal("the oldest entry survived a full-bucket insertion")
+	}
+	for _, k := range mates[1:] {
+		if !q.Contains(k) {
+			t.Fatalf("entry %#x displaced in place of the oldest", k)
+		}
+	}
+	var order []uint32
+	q.Export(func(fp uint32) bool { order = append(order, fp); return true })
+	for i, k := range mates[1:] {
+		if _, fp := q.locate(k); order[i] != fp {
+			t.Fatalf("Export[%d] = %#x, want %#x (insertion order)", i, order[i], fp)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func (s *Server) statsJSON() map[string]any {
 		"hits":   st.Hits, "misses": st.Misses, "sets": st.Sets,
 		"evictions": st.Evictions, "expired": st.Expired,
 		"hit_ratio": st.HitRatio(), "entries": c.Len(),
-		"bytes": c.Used(), "capacity": c.Capacity(),
+		"bytes": c.Used(), "capacity": c.Capacity(), "heap_bytes": telemetry.HeapObjectsBytes(),
 		"dram_hits": st.DRAMHits, "flash_hits": st.FlashHits,
 		"flash_bytes_written":    st.FlashBytesWritten,
 		"flash_gc_bytes":         st.FlashGCBytes,

@@ -147,6 +147,10 @@ func TestAdminEndToEnd(t *testing.T) {
 		}
 	}
 
+	if h := metrics[`process_heap_objects_bytes`]; h < float64(st.Bytes) {
+		t.Errorf("process_heap_objects_bytes = %v, below the %d bytes the cache charges for", h, st.Bytes)
+	}
+
 	// Queue occupancy gauges must be present and account for at least
 	// the resident bytes (the concurrent engine's queue totals include
 	// tombstoned entries not yet swept, so they can exceed Used).

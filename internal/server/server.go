@@ -874,6 +874,7 @@ func (s *Server) writeStats(w io.Writer) {
 	fmt.Fprintf(w, "STAT entries %d\r\n", s.cache.Len())
 	fmt.Fprintf(w, "STAT bytes %d\r\n", s.cache.Used())
 	fmt.Fprintf(w, "STAT capacity %d\r\n", s.cache.Capacity())
+	fmt.Fprintf(w, "STAT heap_bytes %d\r\n", telemetry.HeapObjectsBytes())
 	fmt.Fprintf(w, "STAT uptime_seconds %d\r\n", int64(s.uptime().Seconds()))
 	fmt.Fprintf(w, "STAT demotions_degraded %d\r\n", st.DemotionsDegraded)
 	fmt.Fprintf(w, "STAT flash_errors %d\r\n", st.FlashErrors)
