@@ -8,12 +8,12 @@
 // (Config.Engine) and layers TTLs, snapshots, statistics, and the
 // optional flash tier on top. Two engines ship:
 //
-//   - "policy" (default): mutex-per-shard, wrapping any of the ~25
-//     eviction algorithms behind Config.Policy.
-//   - "concurrent": the lock-free S3-FIFO from internal/concurrent —
-//     hits take no locks at all (hash lookup plus one capped atomic
-//     frequency bump), only misses serialize on a queue shard. It
-//     implements only the s3fifo policy.
+//   - "concurrent" (default; what s3cached serves): the lock-free S3-FIFO
+//     from internal/concurrent — hits take no locks (hash lookup plus one
+//     capped atomic frequency bump), only misses serialize on a queue
+//     shard. It implements only the s3fifo policy.
+//   - "policy": mutex-per-shard, wrapping any of the ~25 eviction
+//     algorithms behind Config.Policy; naming one but s3fifo selects it.
 //
 // Basic usage:
 //
@@ -47,17 +47,17 @@ type Config struct {
 	// MaxBytes is the total capacity across all shards, counting
 	// len(key) + len(value) per entry. Required.
 	MaxBytes uint64
-	// Engine selects the serving engine: "policy" (default) or
-	// "concurrent". See Engines for the list and the package comment for
-	// the tradeoff.
+	// Engine selects the serving engine, "concurrent" or "policy"; empty
+	// means "concurrent" unless Policy names one only "policy" implements.
+	// See Engines and the package comment for the tradeoff.
 	Engine string
 	// Policy selects the eviction algorithm. Default "s3fifo".
 	// See Policies for the full list. The "concurrent" engine implements
 	// only "s3fifo".
 	Policy string
-	// Shards is the number of independent shards (default 16 for the
-	// policy engine; clamped to a power of two). More shards mean less
-	// lock contention and slightly less accurate global eviction order.
+	// Shards is the number of independent shards, a power of two (default
+	// 16 on the policy engine, a GOMAXPROCS-based count on the concurrent
+	// one). More shards: less lock contention, less exact eviction order.
 	Shards int
 	// SmallQueueRatio overrides S3-FIFO's small-queue fraction (default
 	// 0.10). Ignored for other policies.

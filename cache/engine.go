@@ -152,7 +152,10 @@ func Engines() []string {
 func newEngine(cfg Config, onEvict func(EngineEviction)) (Engine, error) {
 	name := cfg.Engine
 	if name == "" {
-		name = "policy"
+		name = "concurrent"
+		if cfg.Policy != "" && cfg.Policy != "s3fifo" {
+			name = "policy"
+		}
 	}
 	factory, ok := engineFactories[name]
 	if !ok {

@@ -14,18 +14,19 @@ import (
 // The lock-free KV is an Engine as it stands: no adapter in between.
 var _ Engine = (*concurrent.KV)(nil)
 
-// TestDefaultEngineEmptyHeap: the default engine must size its ghost
-// tables from what it learns, not from the byte budget read as an object
-// count (16 shards x a 2^20-entry table was 767 MB for a 30 MB cache).
+// TestDefaultEngineEmptyHeap: the policy engine, the default when this
+// was written, must size its ghost tables from what it learns, not from
+// the byte budget read as an object count (16 shards x a 2^20-entry table
+// was 767 MB for a 30 MB cache).
 func TestDefaultEngineEmptyHeap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c := mustNew(t, Config{MaxBytes: 30 << 20})
+	c := mustNew(t, Config{MaxBytes: 30 << 20, Engine: "policy"})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 8<<20 {
-		t.Errorf("empty 30 MB default-engine cache holds %d MB of heap, want < 8", grew>>20)
+		t.Errorf("empty 30 MB policy-engine cache holds %d MB of heap, want < 8", grew>>20)
 	}
 	runtime.KeepAlive(c)
 }
@@ -56,8 +57,12 @@ func TestEngineValidation(t *testing.T) {
 	if c.Engine() != "concurrent" {
 		t.Errorf("Engine() = %q, want concurrent", c.Engine())
 	}
-	if d := mustNew(t, Config{MaxBytes: 1 << 16}); d.Engine() != "policy" {
-		t.Errorf("default Engine() = %q, want policy", d.Engine())
+	if d := mustNew(t, Config{MaxBytes: 1 << 16}); d.Engine() != "concurrent" {
+		t.Errorf("default Engine() = %q, want concurrent", d.Engine())
+	}
+	// Naming a policy only the policy engine implements selects it.
+	if d := mustNew(t, Config{MaxBytes: 1 << 16, Policy: "lru"}); d.Engine() != "policy" {
+		t.Errorf("Engine() with Policy lru = %q, want policy", d.Engine())
 	}
 }
 

@@ -453,7 +453,7 @@ func (c *Client) Delete(key string) (bool, error) {
 // ServerStats is the typed view of the server's counters. Flash fields
 // are zero when the server runs without a flash tier.
 type ServerStats struct {
-	Engine             string // serving engine ("policy" or "concurrent")
+	Engine             string // serving engine: "concurrent" from s3cached, "policy" only from an embedding server
 	NodeID             string // cluster node identity (s3cached -node-id); "" when unset
 	TierKind           string // active second tier ("flash", "file", "remote"); "" when DRAM-only
 	SnapshotAgeSeconds int64  // age of the snapshot last saved or restored; -1 when none

@@ -1,8 +1,7 @@
-// Command s3cached is a memcached-style cache server backed by the
-// S3-FIFO cache library.
+// Command s3cached is a memcached-style cache server on the lock-free
+// S3-FIFO engine of the cache library (-engine accepts only "concurrent").
 //
-//	s3cached -addr :11299 -max-bytes 268435456 -policy s3fifo
-//	s3cached -engine concurrent          # serve on the lock-free S3-FIFO
+//	s3cached -addr :11299 -max-bytes 268435456
 //
 // With -admin-addr <addr> the server also exposes an HTTP admin
 // listener:
@@ -73,9 +72,7 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "optional HTTP admin address serving /metrics, /stats, /healthz, /debug/pprof")
 	httpAddr := flag.String("http", "", "deprecated alias for -admin-addr")
 	maxBytes := flag.Uint64("max-bytes", 256<<20, "cache capacity in bytes")
-	engine := flag.String("engine", "policy",
-		"serving engine: "+strings.Join(cache.Engines(), ", "))
-	policy := flag.String("policy", "s3fifo", "eviction policy (see cache.Policies)")
+	engine := flag.String("engine", "concurrent", "serving engine: concurrent, the only one served")
 	shards := flag.Int("shards", 16, "cache shards")
 	flashDir := flag.String("flash-dir", "", "directory for the flash tier's segment files (enables the tier)")
 	flashBytes := flag.Uint64("flash-bytes", 0, "flash tier capacity in bytes (required with -flash-dir)")
@@ -102,6 +99,9 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "fill-lease exclusivity window (0 = 2s default)")
 	negativeTTL := flag.Duration("negative-ttl", 0, "default negative-cache tombstone TTL (0 = 5s default)")
 	flag.Parse()
+	if *engine != "concurrent" {
+		log.Fatalf("s3cached: -engine %q: only concurrent is served", *engine)
+	}
 	// Flag semantics: 0 disables. Config semantics: 0 means default,
 	// negative disables. Map the operator-friendly form onto the config.
 	breakerThreshold := *flashBreaker
@@ -130,7 +130,6 @@ func main() {
 	cfg := cache.Config{
 		MaxBytes:              *maxBytes,
 		Engine:                *engine,
-		Policy:                *policy,
 		Shards:                *shards,
 		Tier:                  *tier,
 		TierAddr:              *tierAddr,
@@ -208,11 +207,11 @@ func main() {
 		os.Exit(0)
 	}()
 	if *flashDir != "" {
-		fmt.Printf("s3cached listening on %s (engine %s, %s, %d MiB DRAM + %d MiB flash at %s, %d shards)\n",
-			*addr, c.Engine(), *policy, *maxBytes>>20, *flashBytes>>20, *flashDir, *shards)
+		fmt.Printf("s3cached listening on %s (engine %s, %d MiB DRAM + %d MiB flash at %s, %d shards)\n",
+			*addr, c.Engine(), *maxBytes>>20, *flashBytes>>20, *flashDir, *shards)
 	} else {
-		fmt.Printf("s3cached listening on %s (engine %s, %s, %d MiB, %d shards)\n",
-			*addr, c.Engine(), *policy, *maxBytes>>20, *shards)
+		fmt.Printf("s3cached listening on %s (engine %s, %d MiB, %d shards)\n",
+			*addr, c.Engine(), *maxBytes>>20, *shards)
 	}
 	if *slowOp > 0 {
 		fmt.Printf("slow-op log at %v\n", *slowOp)

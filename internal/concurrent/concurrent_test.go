@@ -139,28 +139,6 @@ func TestS3FIFOMissRatioMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestSetResetsFrequencyOnReplace: overwriting a resident key must reset
-// its frequency counter so the replacement re-earns reinsertion, matching
-// the simulator's treatment of a new value as a new object.
-func TestSetResetsFrequencyOnReplace(t *testing.T) {
-	c := NewS3FIFO(100)
-	c.Set(1, []byte("a"))
-	for i := 0; i < 5; i++ {
-		c.Get(1)
-	}
-	e, ok := c.index.get(1)
-	if !ok || e.freq.Load() == 0 {
-		t.Fatalf("setup: entry missing or frequency not raised (freq=%d)", e.freq.Load())
-	}
-	c.Set(1, []byte("b"))
-	if got := e.freq.Load(); got != 0 {
-		t.Errorf("freq after in-place replace = %d, want 0", got)
-	}
-	if v, _ := c.Get(1); string(v) != "b" {
-		t.Errorf("value after replace = %q", v)
-	}
-}
-
 // TestWarmParallelMatchesSerial: the parallelized Warm must produce the
 // same resident set as a serial on-demand fill (workers partition the key
 // space, so per-key ordering is preserved, and advance in step, so none

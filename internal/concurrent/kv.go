@@ -62,7 +62,7 @@ const minShardBytes = 4096
 func NewKV(cfg KVConfig) *KV {
 	kv := &KV{}
 	kv.init(max(cfg.MaxBytes, 1), cfg.Shards, minShardBytes, cfg.SmallRatio, func(shardCap uint64) shardTuning {
-		return shardTuning{evictSlack: shardCap / 16, sweepAt: 64, ghostEntries: 16}
+		return shardTuning{evictSlack: shardCap / 64, sweepAt: 64, ghostEntries: 16}
 	})
 	if cfg.Now != nil {
 		kv.now = cfg.Now

@@ -198,6 +198,42 @@ func TestKVEvictionHook(t *testing.T) {
 	}
 }
 
+// TestOverwriteKeepsFrequency: an in-place overwrite (same key, same
+// charge, no eviction hook) keeps the entry's frequency, as the policy
+// engine does, so a rewritten hot key stays hot. With a hook the overwrite
+// takes the locked path and re-enters as a new entry at frequency 0: that
+// deviation is deliberate (DESIGN §8) and pinned here too.
+func TestOverwriteKeepsFrequency(t *testing.T) {
+	for _, hooked := range []bool{false, true} {
+		cfg := KVConfig{MaxBytes: 1 << 10, Shards: 1}
+		if hooked {
+			cfg.OnEvict = func(Eviction) {}
+		}
+		kv := NewKV(cfg)
+		kv.Set("k", []byte("a"), 0)
+		for i := 0; i < 5; i++ {
+			kv.Get("k")
+		}
+		before, _ := kv.index.get(hashKV("k"))
+		if f := before.freq.Load(); f != ccMaxFreq {
+			t.Fatalf("hooked=%v: setup: freq %d after 5 hits, want %d", hooked, f, ccMaxFreq)
+		}
+		kv.Set("k", []byte("b"), 0)
+		after, _ := kv.index.get(hashKV("k"))
+		want, inPlace := int32(ccMaxFreq), true
+		if hooked {
+			want, inPlace = 0, false
+		}
+		if got := after.freq.Load(); got != want || (after == before) != inPlace {
+			t.Errorf("hooked=%v: overwrite left freq %d (in place %v), want %d (in place %v)",
+				hooked, got, after == before, want, inPlace)
+		}
+		if v, _ := kv.Get("k"); string(v) != "b" {
+			t.Errorf("hooked=%v: value after overwrite = %q", hooked, v)
+		}
+	}
+}
+
 func TestKVRange(t *testing.T) {
 	kv := NewKV(KVConfig{MaxBytes: 1 << 20, Shards: 2})
 	want := map[string]string{}
@@ -314,14 +350,23 @@ func goldenKVReplay(shards int) kvGolden {
 	return g
 }
 
-// TestKVGolden pins the served engine's eviction decisions exactly. The
-// constants were recorded at commit 50cba39, when KV still had its own
-// copy of the shard machine; a single-threaded replay is deterministic,
-// so any difference means an eviction decision moved.
+// TestKVGolden pins the served engine's eviction decisions exactly; a
+// single-threaded replay is deterministic, so any difference means an
+// eviction decision moved. First recorded at commit 50cba39, when KV still
+// had its own copy of the shard machine:
+//
+//	shards=1: {115913 95852 4493 21959 2058 99503}
+//	shards=8: {115645 94598 5431 23047 1987 96252}
+//
+// Re-recorded for two deliberate deviations from those decisions. An
+// in-place overwrite keeps the entry's frequency instead of resetting it
+// to 0 (alone, shards=1: {115856 95675 4651 22169 2013 97350}), and
+// eviction runs down to 1/64 of a shard below capacity instead of 1/16
+// (alone, shards=1: {115597 95216 4780 23176 2038 98603}).
 func TestKVGolden(t *testing.T) {
 	want := map[int]kvGolden{
-		1: {misses: 115913, evictSmall: 95852, evictMain: 4493, ghostReinserts: 21959, length: 2058, used: 99503},
-		8: {misses: 115645, evictSmall: 94598, evictMain: 5431, ghostReinserts: 23047, length: 1987, used: 96252},
+		1: {misses: 115679, evictSmall: 95555, evictMain: 4517, ghostReinserts: 22894, length: 2042, used: 98646},
+		8: {misses: 115352, evictSmall: 94231, evictMain: 5416, ghostReinserts: 23751, length: 2045, used: 99109},
 	}
 	for shards, w := range want {
 		if got := goldenKVReplay(shards); got != w {

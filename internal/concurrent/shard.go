@@ -383,16 +383,14 @@ func (m *machine[K]) set(hash uint64, key K, value []byte, size uint32, expiresA
 			break // we own the insertion
 		}
 		if m.onEvict == nil && !old.dead.Load() && old.key == key && old.size == size {
-			// Same key, same charge: replace in place, lock-free. The
-			// replacement is logically a new object: it re-earns its
-			// reinsertion instead of inheriting the old value's popularity.
-			// With an eviction hook this shortcut is disabled — overwrites
-			// must serialize on the shard mutex so they cannot overtake an
+			// Same key, same charge: replace in place, lock-free, keeping
+			// the frequency and queue slot as the policy engine does. With
+			// an eviction hook this shortcut is disabled — overwrites must
+			// serialize on the shard mutex so they cannot overtake an
 			// in-flight hook call (demotion) for the old value.
 			v := value
 			old.value.Store(&v)
 			old.expires.Store(expiresAt)
-			old.freq.Store(0)
 			return true
 		}
 		// Dead (mid-eviction), a hash collision with another key, a size

@@ -48,35 +48,33 @@ func dialBinary(t *testing.T, addr string, opts client.Options) *client.Client {
 	return c
 }
 
-// TestBinaryGetSetDeleteOverTheWire runs the full session in binary mode
-// on both engines, same shape as the text-protocol test.
+// TestBinaryGetSetDeleteOverTheWire runs the full session in binary mode,
+// same shape as the text-protocol test.
 func TestBinaryGetSetDeleteOverTheWire(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		t.Run("engine="+engine, func(t *testing.T) {
-			addr, _ := startServerOpts(t, cache.Config{Engine: engine})
-			c := dialBinary(t, addr, client.Options{Binary: true})
+	t.Run("engine="+served, func(t *testing.T) {
+		addr, _ := startServerOpts(t, cache.Config{})
+		c := dialBinary(t, addr, client.Options{Binary: true})
 
-			if _, ok, err := c.Get("missing"); err != nil || ok {
-				t.Fatalf("Get(missing) = %v, %v", ok, err)
-			}
-			if ok, err := c.Set("k", []byte("hello world")); err != nil || !ok {
-				t.Fatalf("Set = %v, %v", ok, err)
-			}
-			v, ok, err := c.Get("k")
-			if err != nil || !ok || string(v) != "hello world" {
-				t.Fatalf("Get = %q, %v, %v", v, ok, err)
-			}
-			if existed, err := c.Delete("k"); err != nil || !existed {
-				t.Fatalf("Delete = %v, %v", existed, err)
-			}
-			if existed, err := c.Delete("k"); err != nil || existed {
-				t.Fatalf("second Delete = %v, %v", existed, err)
-			}
-			if err := c.Ping(); err != nil {
-				t.Fatalf("Ping: %v", err)
-			}
-		})
-	}
+		if _, ok, err := c.Get("missing"); err != nil || ok {
+			t.Fatalf("Get(missing) = %v, %v", ok, err)
+		}
+		if ok, err := c.Set("k", []byte("hello world")); err != nil || !ok {
+			t.Fatalf("Set = %v, %v", ok, err)
+		}
+		v, ok, err := c.Get("k")
+		if err != nil || !ok || string(v) != "hello world" {
+			t.Fatalf("Get = %q, %v, %v", v, ok, err)
+		}
+		if existed, err := c.Delete("k"); err != nil || !existed {
+			t.Fatalf("Delete = %v, %v", existed, err)
+		}
+		if existed, err := c.Delete("k"); err != nil || existed {
+			t.Fatalf("second Delete = %v, %v", existed, err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("Ping: %v", err)
+		}
+	})
 }
 
 func TestBinaryTTLExpires(t *testing.T) {

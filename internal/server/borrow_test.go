@@ -132,157 +132,156 @@ func assertNoPoison(t *testing.T, srv *Server) {
 // TestPoisonedReadBuffer walks both protocols through every request that
 // turns a looked-up key into a stored one — GET miss → flash hit →
 // promote, GET miss → implicit fill leader, GETX → lease, negative SETX,
-// DELETE — on both engines over a real flash tier, poisoning the read
-// buffer after every frame. Afterwards each table must hold the keys as
-// the client sent them, and the cache must still answer for them. Run
+// DELETE — over a real flash tier, poisoning the read buffer after every
+// frame. Afterwards each table must hold the keys as the client sent them,
+// and the cache must still answer for them. The engine alone is checked
+// for both engines by package cache's TestLookupsDoNotRetainTheirKey. Run
 // under -race (make race does): checkptr vets the unsafe.String views.
 func TestPoisonedReadBuffer(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		for _, wire := range []string{"binary", "text"} {
-			t.Run(engine+"/"+wire, func(t *testing.T) {
-				c, err := cache.New(cache.Config{MaxBytes: 16 << 10, Shards: 1, Engine: engine,
-					FlashDir: t.TempDir(), FlashBytes: 4 << 20})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				srv := New(c, WithAntiStampede(AntiStampede{Coalesce: true, CoalesceWait: time.Millisecond, Grace: time.Second}))
-				p := newPoisonedConn(t, srv)
+	for _, wire := range []string{"binary", "text"} {
+		t.Run(served+"/"+wire, func(t *testing.T) {
+			c, err := cache.New(cache.Config{MaxBytes: 16 << 10, Shards: 1,
+				FlashDir: t.TempDir(), FlashBytes: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			srv := New(c, WithAntiStampede(AntiStampede{Coalesce: true, CoalesceWait: time.Millisecond, Grace: time.Second}))
+			p := newPoisonedConn(t, srv)
 
-				// One vocabulary over both wires.
-				set := func(key string, v []byte) {
-					t.Helper()
-					if wire == "text" {
-						if got := p.text(fmt.Sprintf("set %s %d\r\n%s\r\n", key, len(v), v)); got != "STORED\r\n" {
-							t.Fatalf("set %s: %q", key, got)
-						}
-					} else if st, _ := p.binary(proto.OpSet, 0, key, v); st != proto.StatusOK {
-						t.Fatalf("set %s: %v", key, st)
+			// One vocabulary over both wires.
+			set := func(key string, v []byte) {
+				t.Helper()
+				if wire == "text" {
+					if got := p.text(fmt.Sprintf("set %s %d\r\n%s\r\n", key, len(v), v)); got != "STORED\r\n" {
+						t.Fatalf("set %s: %q", key, got)
 					}
+				} else if st, _ := p.binary(proto.OpSet, 0, key, v); st != proto.StatusOK {
+					t.Fatalf("set %s: %v", key, st)
 				}
-				get := func(key string) ([]byte, bool) {
-					t.Helper()
-					if wire == "text" {
-						reply := p.text("get " + key + "\r\n")
-						head, rest, _ := strings.Cut(reply, "\r\n")
-						if head == "END" {
-							return nil, false
-						}
-						if !strings.HasPrefix(head, "VALUE "+key+" ") {
-							t.Fatalf("get %s: %q", key, reply)
-						}
-						return []byte(strings.TrimSuffix(rest, "\r\nEND\r\n")), true
+			}
+			get := func(key string) ([]byte, bool) {
+				t.Helper()
+				if wire == "text" {
+					reply := p.text("get " + key + "\r\n")
+					head, rest, _ := strings.Cut(reply, "\r\n")
+					if head == "END" {
+						return nil, false
 					}
-					st, v := p.binary(proto.OpGet, 0, key, nil)
-					return v, st == proto.StatusOK
+					if !strings.HasPrefix(head, "VALUE "+key+" ") {
+						t.Fatalf("get %s: %q", key, reply)
+					}
+					return []byte(strings.TrimSuffix(rest, "\r\nEND\r\n")), true
 				}
-				del := func(key string) bool {
-					t.Helper()
-					if wire == "text" {
-						return p.text("delete "+key+"\r\n") == "DELETED\r\n"
-					}
-					st, _ := p.binary(proto.OpDelete, 0, key, nil)
-					return st == proto.StatusOK
+				st, v := p.binary(proto.OpGet, 0, key, nil)
+				return v, st == proto.StatusOK
+			}
+			del := func(key string) bool {
+				t.Helper()
+				if wire == "text" {
+					return p.text("delete "+key+"\r\n") == "DELETED\r\n"
 				}
-				// getx returns the lease token it was granted, or ok=false.
-				getx := func(key string) (token uint64, ok bool) {
-					t.Helper()
-					if wire == "text" {
-						var tok uint64
-						if _, err := fmt.Sscanf(p.text("getx "+key+"\r\n"), "LEASE %x\r\nEND", &tok); err != nil {
-							return 0, false
-						}
-						return tok, true
-					}
-					st, v := p.binary(proto.OpGetx, 0, key, nil)
-					if st != proto.StatusLease {
+				st, _ := p.binary(proto.OpDelete, 0, key, nil)
+				return st == proto.StatusOK
+			}
+			// getx returns the lease token it was granted, or ok=false.
+			getx := func(key string) (token uint64, ok bool) {
+				t.Helper()
+				if wire == "text" {
+					var tok uint64
+					if _, err := fmt.Sscanf(p.text("getx "+key+"\r\n"), "LEASE %x\r\nEND", &tok); err != nil {
 						return 0, false
 					}
-					tok, _ := proto.ParseLeaseToken(v)
 					return tok, true
 				}
-				setxNegative := func(key string, tok uint64) {
-					t.Helper()
-					if wire == "text" {
-						if got := p.text(fmt.Sprintf("setx %s %016x neg 60\r\n", key, tok)); got != "STORED\r\n" {
-							t.Fatalf("setx %s neg: %q", key, got)
-						}
-						return
-					}
-					var tb [proto.LeaseTokenLen]byte
-					proto.PutLeaseToken(tb[:], tok)
-					if st, _ := p.binary(proto.OpSetx, proto.SetxNegativeFlag|60, key, tb[:]); st != proto.StatusOK {
-						t.Fatalf("setx %s neg: %v", key, st)
-					}
+				st, v := p.binary(proto.OpGetx, 0, key, nil)
+				if st != proto.StatusLease {
+					return 0, false
 				}
+				tok, _ := proto.ParseLeaseToken(v)
+				return tok, true
+			}
+			setxNegative := func(key string, tok uint64) {
+				t.Helper()
+				if wire == "text" {
+					if got := p.text(fmt.Sprintf("setx %s %016x neg 60\r\n", key, tok)); got != "STORED\r\n" {
+						t.Fatalf("setx %s neg: %q", key, got)
+					}
+					return
+				}
+				var tb [proto.LeaseTokenLen]byte
+				proto.PutLeaseToken(tb[:], tok)
+				if st, _ := p.binary(proto.OpSetx, proto.SetxNegativeFlag|60, key, tb[:]); st != proto.StatusOK {
+					t.Fatalf("setx %s neg: %v", key, st)
+				}
+			}
 
-				value := func(key string) []byte { return bytes.Repeat([]byte(key[len(key)-1:]), 300) }
-				const keys = 200 // ~60 KB through a 16 KB cache: most of them end on flash
-				for i := 0; i < keys; i++ {
-					key := fmt.Sprintf("key-%03d", i)
-					set(key, value(key))
-				}
+			value := func(key string) []byte { return bytes.Repeat([]byte(key[len(key)-1:]), 300) }
+			const keys = 200 // ~60 KB through a 16 KB cache: most of them end on flash
+			for i := 0; i < keys; i++ {
+				key := fmt.Sprintf("key-%03d", i)
+				set(key, value(key))
+			}
 
-				// GET miss -> flash hit -> promote.
-				promotions := c.Stats().Promotions
-				for _, key := range []string{"key-000", "key-001", "key-002"} {
-					if v, ok := get(key); !ok || !bytes.Equal(v, value(key)) {
-						t.Fatalf("get %s from flash: %d bytes, %v", key, len(v), ok)
-					}
+			// GET miss -> flash hit -> promote.
+			promotions := c.Stats().Promotions
+			for _, key := range []string{"key-000", "key-001", "key-002"} {
+				if v, ok := get(key); !ok || !bytes.Equal(v, value(key)) {
+					t.Fatalf("get %s from flash: %d bytes, %v", key, len(v), ok)
 				}
-				if c.Stats().Promotions == promotions {
-					t.Fatal("no GET was served from flash and promoted")
-				}
-				// GET miss -> this connection leads the fill: a table slot.
-				if _, ok := get("fill-1"); ok {
-					t.Fatal("fill-1 present")
-				}
-				// GETX miss -> lease: another slot.
-				if _, ok := getx("lease-1"); !ok {
-					t.Fatal("getx lease-1: no lease")
-				}
-				// GETX -> lease -> negative SETX: the negative table.
-				tok, ok := getx("neg-1")
-				if !ok {
-					t.Fatal("getx neg-1: no lease")
-				}
-				setxNegative("neg-1", tok)
-				// DELETE, of a DRAM-resident key and of one only on flash.
-				last := fmt.Sprintf("key-%03d", keys-1)
-				if !del(last) || !del("key-003") {
-					t.Fatal("delete of a held key answered not found")
-				}
+			}
+			if c.Stats().Promotions == promotions {
+				t.Fatal("no GET was served from flash and promoted")
+			}
+			// GET miss -> this connection leads the fill: a table slot.
+			if _, ok := get("fill-1"); ok {
+				t.Fatal("fill-1 present")
+			}
+			// GETX miss -> lease: another slot.
+			if _, ok := getx("lease-1"); !ok {
+				t.Fatal("getx lease-1: no lease")
+			}
+			// GETX -> lease -> negative SETX: the negative table.
+			tok, ok := getx("neg-1")
+			if !ok {
+				t.Fatal("getx neg-1: no lease")
+			}
+			setxNegative("neg-1", tok)
+			// DELETE, of a DRAM-resident key and of one only on flash.
+			last := fmt.Sprintf("key-%03d", keys-1)
+			if !del(last) || !del("key-003") {
+				t.Fatal("delete of a held key answered not found")
+			}
 
-				assertNoPoison(t, srv)
-				srv.co.mu.Lock()
-				for _, key := range []string{"fill-1", "lease-1"} {
-					if srv.co.slots[key] == nil {
-						t.Errorf("fill table has no slot under %q", key)
+			assertNoPoison(t, srv)
+			srv.co.mu.Lock()
+			for _, key := range []string{"fill-1", "lease-1"} {
+				if srv.co.slots[key] == nil {
+					t.Errorf("fill table has no slot under %q", key)
+				}
+			}
+			srv.co.mu.Unlock()
+			// The negative table is the cache's; it answers for itself.
+			if st := c.Stats(); st.NegativeEntries != 1 {
+				t.Errorf("%d negative entries, want 1", st.NegativeEntries)
+			}
+			if _, state := c.GetEx("neg-1", 0); state != cache.LookupNegative {
+				t.Errorf("neg-1 looked up as %v, want the negative entry", state)
+			}
+			// Every key still answers with its own value, from whichever tier
+			// holds it (the flash index is keyed by strings too), and the
+			// deleted ones do not.
+			for i := 0; i < keys; i++ {
+				key := fmt.Sprintf("key-%03d", i)
+				v, ok := get(key)
+				if deleted := key == last || key == "key-003"; deleted {
+					if ok {
+						t.Errorf("%s readable after its delete", key)
 					}
+				} else if !ok || !bytes.Equal(v, value(key)) {
+					t.Errorf("%s: %d bytes, %v", key, len(v), ok)
 				}
-				srv.co.mu.Unlock()
-				// The negative table is the cache's; it answers for itself.
-				if st := c.Stats(); st.NegativeEntries != 1 {
-					t.Errorf("%d negative entries, want 1", st.NegativeEntries)
-				}
-				if _, state := c.GetEx("neg-1", 0); state != cache.LookupNegative {
-					t.Errorf("neg-1 looked up as %v, want the negative entry", state)
-				}
-				// Every key still answers with its own value, from whichever tier
-				// holds it (the flash index is keyed by strings too), and the
-				// deleted ones do not.
-				for i := 0; i < keys; i++ {
-					key := fmt.Sprintf("key-%03d", i)
-					v, ok := get(key)
-					if deleted := key == last || key == "key-003"; deleted {
-						if ok {
-							t.Errorf("%s readable after its delete", key)
-						}
-					} else if !ok || !bytes.Equal(v, value(key)) {
-						t.Errorf("%s: %d bytes, %v", key, len(v), ok)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

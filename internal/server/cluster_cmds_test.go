@@ -25,48 +25,46 @@ var clientModes = []struct {
 }
 
 // TestKeysCommandAllModes: the keys export returns the resident keys
-// over text, binary, and pipelined connections, on both engines.
+// over text, binary, and pipelined connections.
 func TestKeysCommandAllModes(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		for _, mode := range clientModes {
-			t.Run("engine="+engine+"/"+mode.name, func(t *testing.T) {
-				addr, _ := startServerOpts(t, cache.Config{Engine: engine})
-				c, err := client.DialOptions(addr, mode.opts)
-				if err != nil {
-					t.Fatal(err)
+	for _, mode := range clientModes {
+		t.Run("engine="+served+"/"+mode.name, func(t *testing.T) {
+			addr, _ := startServerOpts(t, cache.Config{})
+			c, err := client.DialOptions(addr, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			want := map[string]bool{"alpha": true, "beta": true, "gamma": true}
+			for k := range want {
+				if ok, err := c.Set(k, []byte("v-"+k)); err != nil || !ok {
+					t.Fatalf("Set(%s) = %v, %v", k, ok, err)
 				}
-				defer c.Close()
-				want := map[string]bool{"alpha": true, "beta": true, "gamma": true}
-				for k := range want {
-					if ok, err := c.Set(k, []byte("v-"+k)); err != nil || !ok {
-						t.Fatalf("Set(%s) = %v, %v", k, ok, err)
-					}
+			}
+			samples, err := c.Keys(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]bool{}
+			for _, s := range samples {
+				got[s.Key] = true
+				if s.Freq < 0 {
+					t.Errorf("negative freq for %q", s.Key)
 				}
-				samples, err := c.Keys(0)
-				if err != nil {
-					t.Fatal(err)
+			}
+			for k := range want {
+				if !got[k] {
+					t.Errorf("keys export missing %q (got %v)", k, samples)
 				}
-				got := map[string]bool{}
-				for _, s := range samples {
-					got[s.Key] = true
-					if s.Freq < 0 {
-						t.Errorf("negative freq for %q", s.Key)
-					}
-				}
-				for k := range want {
-					if !got[k] {
-						t.Errorf("keys export missing %q (got %v)", k, samples)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestKeysHottestFirst: on the concurrent engine (real per-key freq),
-// a repeatedly read key sorts ahead of cold keys.
+// TestKeysHottestFirst: the engine keeps a real per-key frequency, so a
+// repeatedly read key sorts ahead of cold keys.
 func TestKeysHottestFirst(t *testing.T) {
-	addr, _ := startServerOpts(t, cache.Config{Engine: "concurrent"})
+	addr, _ := startServerOpts(t, cache.Config{})
 	c, err := client.DialOptions(addr, client.Options{Binary: true})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +94,7 @@ func TestKeysHottestFirst(t *testing.T) {
 
 // TestKeysMaxClamped: the max argument bounds the sample size.
 func TestKeysMaxClamped(t *testing.T) {
-	addr, _ := startServerOpts(t, cache.Config{Engine: "concurrent"})
+	addr, _ := startServerOpts(t, cache.Config{})
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

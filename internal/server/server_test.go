@@ -43,36 +43,34 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-// TestGetSetDeleteOverTheWire runs the full serving session on both
-// engines: the wire protocol must be engine-agnostic.
+// served is the engine a server over a cache.Config that names none runs
+// on, and the only one s3cached serves. The server tests run on it alone;
+// package cache runs the policy engine's matrices.
+const served = "concurrent"
+
+// TestGetSetDeleteOverTheWire runs the full serving session.
 func TestGetSetDeleteOverTheWire(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		t.Run("engine="+engine, func(t *testing.T) {
-			testGetSetDeleteOverTheWire(t, engine)
-		})
-	}
-}
+	t.Run("engine="+served, func(t *testing.T) {
+		addr, _ := startServer(t, cache.Config{})
+		c := dial(t, addr)
 
-func testGetSetDeleteOverTheWire(t *testing.T, engine string) {
-	addr, _ := startServer(t, cache.Config{Engine: engine})
-	c := dial(t, addr)
-
-	if _, ok, err := c.Get("missing"); err != nil || ok {
-		t.Fatalf("Get(missing) = %v, %v", ok, err)
-	}
-	if ok, err := c.Set("k", []byte("hello world")); err != nil || !ok {
-		t.Fatalf("Set = %v, %v", ok, err)
-	}
-	v, ok, err := c.Get("k")
-	if err != nil || !ok || string(v) != "hello world" {
-		t.Fatalf("Get = %q, %v, %v", v, ok, err)
-	}
-	if existed, err := c.Delete("k"); err != nil || !existed {
-		t.Fatalf("Delete = %v, %v", existed, err)
-	}
-	if existed, err := c.Delete("k"); err != nil || existed {
-		t.Fatalf("second Delete = %v, %v", existed, err)
-	}
+		if _, ok, err := c.Get("missing"); err != nil || ok {
+			t.Fatalf("Get(missing) = %v, %v", ok, err)
+		}
+		if ok, err := c.Set("k", []byte("hello world")); err != nil || !ok {
+			t.Fatalf("Set = %v, %v", ok, err)
+		}
+		v, ok, err := c.Get("k")
+		if err != nil || !ok || string(v) != "hello world" {
+			t.Fatalf("Get = %q, %v, %v", v, ok, err)
+		}
+		if existed, err := c.Delete("k"); err != nil || !existed {
+			t.Fatalf("Delete = %v, %v", existed, err)
+		}
+		if existed, err := c.Delete("k"); err != nil || existed {
+			t.Fatalf("second Delete = %v, %v", existed, err)
+		}
+	})
 }
 
 func TestBinaryValuesSurvive(t *testing.T) {
@@ -101,38 +99,42 @@ func TestEmptyValue(t *testing.T) {
 	}
 }
 
+// TestStatsOverTheWire also pins the default: a server over a plain
+// cache.Config{} reports STAT engine concurrent.
 func TestStatsOverTheWire(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		t.Run("engine="+engine, func(t *testing.T) {
-			addr, _ := startServer(t, cache.Config{Engine: engine})
-			c := dial(t, addr)
-			c.Set("a", []byte("1"))
-			c.Get("a")
-			c.Get("b")
-			st, err := c.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st["hits"] != 1 || st["misses"] != 1 || st["sets"] != 1 {
-				t.Errorf("stats = %v", st)
-			}
-			if st["capacity"] == 0 {
-				t.Error("capacity missing from stats")
-			}
-			// The non-numeric engine stat is skipped by Stats() but visible
-			// through the typed and raw views.
-			ts, err := c.ServerStats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ts.Engine != engine {
-				t.Errorf("ServerStats.Engine = %q, want %q", ts.Engine, engine)
-			}
-			if ts.Hits != 1 || ts.Capacity == 0 {
-				t.Errorf("typed stats = %+v", ts)
-			}
-		})
-	}
+	t.Run("engine="+served, func(t *testing.T) {
+		addr, _ := startServer(t, cache.Config{})
+		c := dial(t, addr)
+		c.Set("a", []byte("1"))
+		c.Get("a")
+		c.Get("b")
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st["hits"] != 1 || st["misses"] != 1 || st["sets"] != 1 {
+			t.Errorf("stats = %v", st)
+		}
+		if st["capacity"] == 0 {
+			t.Error("capacity missing from stats")
+		}
+		// The non-numeric engine stat is skipped by Stats() but visible
+		// through the typed and raw views.
+		raw, err := c.StatsRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw["engine"] != served {
+			t.Errorf("STAT engine %s, want %s", raw["engine"], served)
+		}
+		ts, err := c.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ts.Engine != served || ts.Hits != 1 || ts.Capacity == 0 {
+			t.Errorf("typed stats = %+v", ts)
+		}
+	})
 }
 
 func TestTTLOverTheWire(t *testing.T) {
@@ -190,15 +192,11 @@ func TestProtocolErrorsKeepConnectionUsable(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		t.Run("engine="+engine, func(t *testing.T) {
-			testConcurrentClients(t, engine)
-		})
-	}
+	t.Run("engine="+served, testConcurrentClients)
 }
 
-func testConcurrentClients(t *testing.T, engine string) {
-	addr, srv := startServer(t, cache.Config{MaxBytes: 1 << 20, Engine: engine, Shards: 8})
+func testConcurrentClients(t *testing.T) {
+	addr, srv := startServer(t, cache.Config{MaxBytes: 1 << 20, Shards: 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

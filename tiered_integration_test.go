@@ -41,17 +41,16 @@ type tieredStack struct {
 	tier string
 	// start builds the front cache + server for this backend. Calling it
 	// again models a restart of the front process over the same backend.
-	start func(t *testing.T, engine string) (*cache.Cache, *client.Client, func())
+	start func(t *testing.T) (*cache.Cache, *client.Client, func())
 }
 
 func newTieredStacks(t *testing.T) []tieredStack {
 	diskBacked := func(tier string) tieredStack {
 		dir := t.TempDir()
-		return tieredStack{tier: tier, start: func(t *testing.T, engine string) (*cache.Cache, *client.Client, func()) {
+		return tieredStack{tier: tier, start: func(t *testing.T) (*cache.Cache, *client.Client, func()) {
 			t.Helper()
 			c, err := cache.New(cache.Config{
 				MaxBytes:          4 << 10,
-				Engine:            engine,
 				Shards:            2,
 				Tier:              tier,
 				FlashDir:          dir,
@@ -82,11 +81,10 @@ func newTieredStacks(t *testing.T) []tieredStack {
 		peerSrv.Close()
 		peer.Close()
 	})
-	remote := tieredStack{tier: "remote", start: func(t *testing.T, engine string) (*cache.Cache, *client.Client, func()) {
+	remote := tieredStack{tier: "remote", start: func(t *testing.T) (*cache.Cache, *client.Client, func()) {
 		t.Helper()
 		c, err := cache.New(cache.Config{
 			MaxBytes:  4 << 10,
-			Engine:    engine,
 			Shards:    2,
 			Tier:      "remote",
 			TierAddr:  peerL.Addr().String(),
@@ -108,18 +106,15 @@ func newTieredStacks(t *testing.T) []tieredStack {
 // front stack over the same backend must keep serving tier-resident
 // values and must not resurrect deletes.
 func TestTieredEndToEnd(t *testing.T) {
-	for _, engine := range cache.Engines() {
-		for _, stack := range newTieredStacks(t) {
-			stack := stack
-			t.Run(fmt.Sprintf("engine=%s/tier=%s", engine, stack.tier), func(t *testing.T) {
-				testTieredEndToEnd(t, engine, stack)
-			})
-		}
+	for _, stack := range newTieredStacks(t) {
+		t.Run("engine=concurrent/tier="+stack.tier, func(t *testing.T) {
+			testTieredEndToEnd(t, stack)
+		})
 	}
 }
 
-func testTieredEndToEnd(t *testing.T, engine string, stack tieredStack) {
-	_, cl, shutdown := stack.start(t, engine)
+func testTieredEndToEnd(t *testing.T, stack tieredStack) {
+	_, cl, shutdown := stack.start(t)
 
 	const n = 120
 	val := func(i int) []byte {
@@ -154,8 +149,8 @@ func testTieredEndToEnd(t *testing.T, engine string, stack tieredStack) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Engine != engine {
-		t.Errorf("server reports engine %q, want %q", st.Engine, engine)
+	if st.Engine != "concurrent" {
+		t.Errorf("server reports engine %q, want concurrent", st.Engine)
 	}
 	if st.TierKind != stack.tier {
 		t.Errorf("server reports tier %q, want %q", st.TierKind, stack.tier)
@@ -199,7 +194,7 @@ func testTieredEndToEnd(t *testing.T, engine string, stack tieredStack) {
 	// Restart the front stack on the same backend: the recovered state
 	// (on-disk index, or the still-running peer) must keep serving values
 	// that only live in the tier.
-	_, cl2, shutdown2 := stack.start(t, engine)
+	_, cl2, shutdown2 := stack.start(t)
 	defer shutdown2()
 	st2, err := cl2.ServerStats()
 	if err != nil {
