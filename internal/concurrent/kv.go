@@ -253,6 +253,6 @@ func (c *KV) Range(fn func(key string, value []byte, expiresAt int64) bool) {
 		if exp != 0 && nowNanos > exp {
 			return true
 		}
-		return fn(e.key, *e.value.Load(), exp)
+		return fn(e.key, e.value(), exp)
 	})
 }

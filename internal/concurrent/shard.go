@@ -1,10 +1,12 @@
 package concurrent
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"s3fifo/internal/ghost"
 	"s3fifo/internal/lockfree"
@@ -92,18 +94,32 @@ type shardTuning struct {
 	ghostEntries int
 }
 
+// entry fits the 64-byte size class with a string key, one cache line, and
+// references one value, the current one.
 type entry[K comparable] struct {
-	hash    uint64
-	key     K
+	hash uint64
+	key  K
+	// data is the value's first byte, swapped by an in-place overwrite only
+	// for a value of the same length, since vlen never changes (see value).
+	data    atomic.Pointer[byte]
+	vlen    uint32
 	size    uint32
-	value   atomic.Pointer[[]byte] // replaced atomically so lock-free readers never race
-	expires atomic.Int64           // unix nanoseconds; 0 = no TTL
+	expires atomic.Int64 // unix nanoseconds; 0 = no TTL
 	freq    atomic.Int32
 	dead    atomic.Bool // deleted or superseded; skipped at eviction scan
-	// val backs the initial value pointer so a fresh insert costs a single
-	// allocation; in-place replacements allocate a new slice header.
-	val []byte
 }
+
+var emptyValue byte // what data points at for an empty value: it reads back non-nil
+
+func valueData(value []byte) *byte {
+	if len(value) == 0 {
+		return &emptyValue
+	}
+	return &value[0]
+}
+
+// value is the one way to read an entry's value: one atomic load, whole.
+func (e *entry[K]) value() []byte { return unsafe.Slice(e.data.Load(), e.vlen) }
 
 // blockSlots sizes a queue block to the 2 KiB malloc class: 253 entry
 // pointers, the link and the two cursors.
@@ -321,9 +337,9 @@ func (m *machine[K]) get(hash uint64, key K) ([]byte, bool) {
 		m.expire(e)
 		return nil, false
 	}
-	v := e.value.Load()
+	v := e.value()
 	e.touch()
-	return *v, true
+	return v, true
 }
 
 // getStale returns key's resident value and absolute expiry (0 = no TTL)
@@ -336,10 +352,10 @@ func (m *machine[K]) getStale(hash uint64, key K) ([]byte, int64, bool) {
 	if e == nil {
 		return nil, 0, false
 	}
-	v := e.value.Load()
+	v := e.value()
 	exp := e.expires.Load()
 	e.touch()
-	return *v, exp, true
+	return v, exp, true
 }
 
 // contains reports whether key is resident and unexpired, without
@@ -357,18 +373,19 @@ func (m *machine[K]) contains(hash uint64, key K) bool {
 }
 
 func newEntry[K comparable](hash uint64, key K, value []byte, size uint32, expiresAt int64) *entry[K] {
-	e := &entry[K]{hash: hash, key: key, size: size, val: value}
-	e.value.Store(&e.val)
+	e := &entry[K]{hash: hash, key: key, vlen: uint32(len(value)), size: size}
+	e.data.Store(valueData(value))
 	e.expires.Store(expiresAt)
 	return e
 }
 
 // set inserts or replaces the value for key. It returns false when the
-// entry is larger than its shard's capacity (the stale copy, if any, is
-// dropped so the caller can never read the old value back).
+// entry is larger than its shard's capacity or its value too long for vlen
+// (the stale copy, if any, is dropped so the caller can never read the old
+// value back).
 func (m *machine[K]) set(hash uint64, key K, value []byte, size uint32, expiresAt int64) bool {
 	s := m.shardOf(hash)
-	if uint64(size) > s.capacity {
+	if uint64(size) > s.capacity || uint64(len(value)) > math.MaxUint32 {
 		if e, ok := m.index.get(hash); ok && e.key == key {
 			if m.retire(e) {
 				m.oversized.Add(1)
@@ -376,26 +393,29 @@ func (m *machine[K]) set(hash uint64, key K, value []byte, size uint32, expiresA
 		}
 		return false
 	}
-	e := newEntry(hash, key, value, size, expiresAt)
+	var e *entry[K] // allocated only once the probe finds no entry to overwrite
 	for {
-		old, loaded := m.index.putIfAbsent(hash, e)
+		old, loaded := m.index.get(hash)
 		if !loaded {
-			break // we own the insertion
+			if e == nil {
+				e = newEntry(hash, key, value, size, expiresAt)
+			}
+			if old, loaded = m.index.putIfAbsent(hash, e); !loaded {
+				break // we own the insertion
+			}
 		}
-		if m.onEvict == nil && !old.dead.Load() && old.key == key && old.size == size {
-			// Same key, same charge: replace in place, lock-free, keeping
-			// the frequency and queue slot as the policy engine does. With
-			// an eviction hook this shortcut is disabled — overwrites must
-			// serialize on the shard mutex so they cannot overtake an
-			// in-flight hook call (demotion) for the old value.
-			v := value
-			old.value.Store(&v)
+		if m.onEvict == nil && !old.dead.Load() && old.key == key && old.size == size && int(old.vlen) == len(value) {
+			// Same key, charge and length: replace in place, lock-free,
+			// keeping frequency and queue slot. With an eviction hook,
+			// overwrites serialize on the shard mutex instead, so they
+			// cannot overtake an in-flight hook call (demotion).
+			old.data.Store(valueData(value))
 			old.expires.Store(expiresAt)
 			return true
 		}
-		// Dead (mid-eviction), a hash collision with another key, a size
-		// change, or a hooked overwrite: retire the old mapping and insert
-		// fresh through the locked path.
+		// Dead (mid-eviction), a hash collision with another key, a change
+		// of charge or length, or a hooked overwrite: retire the old
+		// mapping and insert fresh through the locked path.
 		m.retire(old)
 		m.index.deleteIf(hash, old) // clear a mapping retired by a racing caller
 	}
@@ -410,7 +430,7 @@ func (m *machine[K]) set(hash uint64, key K, value []byte, size uint32, expiresA
 // returns whether the insert happened.
 func (m *machine[K]) add(hash uint64, key K, value []byte, size uint32, expiresAt int64) bool {
 	s := m.shardOf(hash)
-	if uint64(size) > s.capacity {
+	if uint64(size) > s.capacity || uint64(len(value)) > math.MaxUint32 {
 		return false
 	}
 	e := newEntry(hash, key, value, size, expiresAt)
@@ -632,7 +652,7 @@ func (s *shard[K]) finishEvictLocked(m *machine[K], e *entry[K], freq int) {
 	s.used.Add(-int64(e.size))
 	s.live.Add(-1)
 	if m.onEvict != nil {
-		m.onEvict(e.key, *e.value.Load(), e.size, freq, e.expires.Load())
+		m.onEvict(e.key, e.value(), e.size, freq, e.expires.Load())
 	}
 }
 

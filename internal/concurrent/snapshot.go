@@ -56,7 +56,7 @@ func (c *KV) SnapshotMeta(fn func(MetaRecord) bool) {
 		}
 		return fn(MetaRecord{
 			Key:       e.key,
-			Value:     *e.value.Load(),
+			Value:     e.value(),
 			ExpiresAt: exp,
 			Freq:      int(e.freq.Load()),
 			Queue:     queue,

@@ -137,10 +137,12 @@ func setFrames(n int) [][]byte {
 	return frames
 }
 
-// TestAllocGateServerSet pins what a SET of a new key allocates: the
+// TestAllocGateServerSet pins what a SET allocates. Of a new key: the
 // value the cache keeps, the one copy of the key out of the read buffer,
 // and the engine's entry. (Queue and index growth are amortised away:
-// AllocsPerRun reports whole allocations per run.)
+// AllocsPerRun reports whole allocations per run.) Of a resident key, the
+// same frames again: the value and the key, because the engine overwrites
+// the entry in place.
 func TestAllocGateServerSet(t *testing.T) {
 	if proto.RaceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -154,15 +156,21 @@ func TestAllocGateServerSet(t *testing.T) {
 	br := bytes.NewReader(nil)
 	r := bufio.NewReaderSize(br, 16<<10)
 	w := bufio.NewWriterSize(io.Discard, 16<<10)
-	i := 0
-	allocs := testing.AllocsPerRun(len(frames)-1, func() {
-		br.Reset(frames[i])
-		r.Reset(br)
-		srv.dispatchBinary(r, w, bc)
-		w.Flush()
-		i++
-	})
-	if allocs != 3 {
-		t.Fatalf("binary SET allocates %v times per new key, want 3: value, key, entry", allocs)
+	for _, pass := range []struct {
+		keys string
+		want float64
+		what string
+	}{{"new", 3, "value, key, entry"}, {"resident", 2, "value, key"}} {
+		i := 0
+		allocs := testing.AllocsPerRun(len(frames)-1, func() {
+			br.Reset(frames[i])
+			r.Reset(br)
+			srv.dispatchBinary(r, w, bc)
+			w.Flush()
+			i++
+		})
+		if allocs != pass.want {
+			t.Errorf("binary SET allocates %v times per %s key, want %v: %s", allocs, pass.keys, pass.want, pass.what)
+		}
 	}
 }
