@@ -1,6 +1,10 @@
 package concurrent
 
-import "sort"
+import (
+	"sort"
+
+	"s3fifo/internal/sketch"
+)
 
 // KV is the serving front of the concurrent S3-FIFO machine (shard.go):
 // what a real cache server needs on top of it.
@@ -80,14 +84,7 @@ func (c *KV) Name() string { return "concurrent" }
 
 // hashKV is FNV-1a over the key bytes; the index and queue shards apply
 // mix64 on top, so sequential keys spread over both.
-func hashKV(key string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
+func hashKV(key string) uint64 { return sketch.FNV1a(key) }
 
 // kvEntrySize is the charged size of an entry.
 func kvEntrySize(key string, value []byte) uint32 {

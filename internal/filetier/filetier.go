@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"s3fifo/internal/faultfs"
+	"s3fifo/internal/sketch"
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -163,14 +164,9 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// bucketFor hashes key to its bucket (FNV-1a).
+// bucketFor hashes key to its bucket (FNV-1a, unmixed).
 func (s *Store) bucketFor(key string) uint32 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return uint32(h % uint64(len(s.buckets)))
+	return uint32(sketch.FNV1a(key) % uint64(len(s.buckets)))
 }
 
 // recoverBucket scans one bucket file, indexing every verifiable record

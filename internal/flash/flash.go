@@ -1,7 +1,8 @@
 // Package flash is a log-structured, append-only on-disk value store:
 // the flash tier of the DRAM+flash hierarchy in §5.4. Values are appended
 // to fixed-size segment files with per-record CRC32 checksums; an
-// in-memory index maps key -> (segment, offset). Reclamation is FIFO over
+// in-memory index maps the key's hash -> (segment, offset), and the key
+// itself lives only in its record (index.go). Reclamation is FIFO over
 // whole segments — the write pattern production flash caches require for
 // device lifetime — with reinsertion of still-live records that were read
 // while on flash (the flash-friendly analogue of S3-FIFO's lazy
@@ -9,8 +10,8 @@
 //
 // Crash recovery needs no separate manifest: Open scans the segment files
 // in sequence order and rebuilds the index from every record whose
-// checksum verifies, newest record per key winning. A torn append at the
-// tail of the newest segment is truncated away; deletes persist as
+// checksum verifies, newest record per key hash winning. A torn append at
+// the tail of the newest segment is truncated away; deletes persist as
 // tombstone records.
 //
 // The store is safe for concurrent use. One store mutex guards the index
@@ -148,9 +149,9 @@ type Stats struct {
 type rec struct {
 	seg     uint64
 	off     uint64
-	klen    uint16
-	vlen    uint32
 	expires int64
+	vlen    uint32
+	klen    uint16
 	freq    uint8 // read-while-on-flash counter, capped at 3
 }
 
@@ -178,7 +179,7 @@ type Store struct {
 
 	segs      []*segment // oldest..newest; last is the active (append) segment
 	nextSeq   uint64
-	index     map[string]rec
+	index     index
 	diskUsed  uint64
 	liveBytes uint64
 	stats     Stats
@@ -186,9 +187,9 @@ type Store struct {
 
 	stager // the staging area and the sealer's inbox (stage.go)
 
-	// reclaimBuf is the memory every reclamation reads its victim into;
-	// reclaiming keeps a second caller out while the first one waits for
-	// the sealer with the mutex released.
+	// reclaimBuf is the window, one staging buffer long, every reclamation
+	// reads its victim through; reclaiming keeps a second caller out while
+	// the first one waits for the sealer with the mutex released.
 	reclaimBuf []byte
 	reclaiming bool
 
@@ -208,7 +209,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		opts:  opts,
-		index: make(map[string]rec),
+		index: newIndex(),
 		now:   unixNow,
 	}
 	s.stage, s.spare = make([]byte, 0, stageBytes), make([]byte, 0, stageBytes)
@@ -302,64 +303,50 @@ func (s *Store) scanSegment(seq uint64, data []byte, last bool) uint64 {
 	for off+headerSize <= uint64(len(data)) {
 		hdr := data[off:]
 		if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic {
-			s.noteCorrupt(last)
-			return off
+			break
 		}
 		flags := hdr[4]
 		klen := binary.LittleEndian.Uint16(hdr[5:7])
 		vlen := binary.LittleEndian.Uint32(hdr[7:11])
 		expires := int64(binary.LittleEndian.Uint64(hdr[11:19]))
-		crc := binary.LittleEndian.Uint32(hdr[19:23])
 		total := headerSize + uint64(klen) + uint64(vlen)
-		if vlen > MaxValueLen || off+total > uint64(len(data)) {
-			s.noteCorrupt(last)
-			return off
+		if vlen > MaxValueLen || off+total > uint64(len(data)) ||
+			recordCRC(hdr[:total]) != binary.LittleEndian.Uint32(hdr[19:23]) {
+			break
 		}
-		body := data[off+headerSize : off+total]
-		check := crc32.ChecksumIEEE(hdr[4:19])
-		check = crc32.Update(check, crc32.IEEETable, body)
-		if check != crc {
-			s.noteCorrupt(last)
-			return off
-		}
-		key := string(body[:klen])
+		h := keyHash(hdr[headerSize:][:klen])
 		if flags&flagTombstone != 0 {
-			s.dropIndex(key)
+			s.dropIndex(h)
 		} else if expires != 0 && expires <= s.now() {
-			s.dropIndex(key) // expired while down
+			s.dropIndex(h) // expired while down
 		} else {
-			s.setIndex(key, rec{seg: seq, off: off, klen: klen, vlen: vlen, expires: expires})
+			s.setIndex(h, rec{seg: seq, off: off, klen: klen, vlen: vlen, expires: expires})
 			s.stats.RecoveredRecords++
 		}
 		off += total
 	}
-	if off < uint64(len(data)) {
-		s.noteCorrupt(last)
+	// An unreadable record: a torn tail on the active segment is normal
+	// crash damage (counted as truncation by the caller); anywhere else it
+	// is corruption.
+	if off < uint64(len(data)) && !last {
+		s.stats.CorruptDropped++
 	}
 	return off
 }
 
-// noteCorrupt classifies an unreadable record: a torn tail on the active
-// segment is normal crash damage (counted as truncation by the caller);
-// anywhere else it is corruption.
-func (s *Store) noteCorrupt(last bool) {
-	if !last {
-		s.stats.CorruptDropped++
-	}
-}
-
-func (s *Store) setIndex(key string, r rec) {
-	if old, ok := s.index[key]; ok {
+// setIndex and dropIndex map and unmap a key hash. Under a collision the
+// hash's other key is what they forget: a cache may forget, and Lookup,
+// which compares the record's key, never serves it to the wrong caller.
+func (s *Store) setIndex(h uint64, r rec) {
+	if old, ok := s.index.put(h, r); ok {
 		s.liveBytes -= old.size()
 	}
-	s.index[key] = r
 	s.liveBytes += r.size()
 }
 
-func (s *Store) dropIndex(key string) {
-	if old, ok := s.index[key]; ok {
+func (s *Store) dropIndex(h uint64) {
+	if old, ok := s.index.del(h); ok {
 		s.liveBytes -= old.size()
-		delete(s.index, key)
 	}
 }
 
@@ -497,8 +484,9 @@ func (s *Store) Put(key string, value []byte, expires int64) error {
 		return err
 	}
 	s.stats.Puts++
-	_, supersedes := s.index[key]
-	s.setIndex(key, r)
+	h := keyHash(key)
+	supersedes := s.index.get(h) != nil
+	s.setIndex(h, r)
 	// Written through: a record that supersedes one the file may hold; any
 	// record while a reclaimed segment awaits its unlink, because that file
 	// may still hold an older value of this key, which a crash would index
@@ -516,11 +504,12 @@ func (s *Store) Put(key string, value []byte, expires int64) error {
 // oldest-first. Live records that were read while on flash are reinserted
 // at the head of the log (access bit cleared, so a record survives at
 // most one generation without a new read); cold or superseded records are
-// dropped. The victim is read inline, into memory every reclamation
-// reuses, so what is kept and dropped depends only on the order of calls;
-// reinsertions are staged like any other append, and the victim's close
-// and unlink are the sealer's. The victim stays listed until it has been
-// walked: an error on the way leaves it to the next reclamation whole.
+// dropped. The victim is read inline, a staging buffer's worth at a time
+// into memory every reclamation reuses, so what is kept and dropped
+// depends only on the order of calls; reinsertions are staged like any
+// other append, and the victim's close and unlink are the sealer's. The
+// victim stays listed until it has been walked: an error on the way
+// leaves what it has not settled to the next reclamation.
 func (s *Store) reclaimLocked() error {
 	if s.reclaiming {
 		return nil // a reinsertion's wait let this caller in; the first one finishes the job
@@ -540,54 +529,8 @@ func (s *Store) reclaimLocked() error {
 			}
 			continue
 		}
-		if uint64(cap(s.reclaimBuf)) < victim.size {
-			s.reclaimBuf = make([]byte, victim.size)
-		}
-		data := s.reclaimBuf[:victim.size]
-		if _, err := victim.f.ReadAt(data, 0); err != nil {
-			return fmt.Errorf("flash: reclaim read %s: %w", victim.path, err)
-		}
-		now := s.now()
-
-		off := uint64(0)
-		for off+headerSize <= uint64(len(data)) {
-			hdr := data[off:]
-			klen := binary.LittleEndian.Uint16(hdr[5:7])
-			vlen := binary.LittleEndian.Uint32(hdr[7:11])
-			total := headerSize + uint64(klen) + uint64(vlen)
-			if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic || off+total > uint64(len(data)) {
-				break // scan damage; everything behind is unreachable anyway
-			}
-			body := data[off+headerSize : off+total]
-			kb := body[:klen]
-			r, live := s.index[string(kb)]
-			if live && r.seg == victim.seq && r.off == off {
-				switch {
-				case r.expires != 0 && r.expires <= now:
-					s.dropIndex(string(kb))
-				case r.freq > 0:
-					// Making room may wait for the sealer with the mutex released,
-					// and a Delete or Put of this key may get in: a copy appended
-					// after that would be the newest record of the key in the log.
-					if err := s.makeRoomLocked(int(total)); err != nil {
-						return err
-					}
-					if cur := s.index[string(kb)]; cur.seg != r.seg || cur.off != r.off {
-						break
-					}
-					key := string(kb)
-					nr, err := s.appendRecord(key, body[klen:], r.expires, 0, true)
-					if err != nil {
-						return err
-					}
-					s.setIndex(key, nr) // freq resets to zero
-					s.stats.ReclaimKept++
-				default:
-					s.dropIndex(string(kb))
-					s.stats.ReclaimDropped++
-				}
-			}
-			off += total
+		if err := s.walkVictimLocked(victim); err != nil {
+			return err
 		}
 		if s.closed {
 			return ErrClosed // under a reinsertion's wait
@@ -604,6 +547,84 @@ func (s *Store) reclaimLocked() error {
 	return nil
 }
 
+// walkVictimLocked reads victim in windows of one staging buffer and
+// settles its records in order. A record that straddles a window's end
+// starts the next window; one larger than a window (it was written
+// directly) is read alone. Damage ends the walk: nothing behind it can be
+// located.
+func (s *Store) walkVictimLocked(victim *segment) error {
+	if s.reclaimBuf == nil {
+		s.reclaimBuf = make([]byte, stageBytes)
+	}
+	now := s.now()
+	for pos := uint64(0); pos+headerSize <= victim.size; {
+		win := s.reclaimBuf[:min(uint64(len(s.reclaimBuf)), victim.size-pos)]
+		if _, err := victim.f.ReadAt(win, int64(pos)); err != nil {
+			return fmt.Errorf("flash: reclaim read %s: %w", victim.path, err)
+		}
+		off := uint64(0)
+		for off+headerSize <= uint64(len(win)) {
+			hdr := win[off:]
+			total := headerSize + uint64(binary.LittleEndian.Uint16(hdr[5:7])) + uint64(binary.LittleEndian.Uint32(hdr[7:11]))
+			if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic || pos+off+total > victim.size {
+				return nil // scan damage; everything behind is unreachable anyway
+			}
+			if off > 0 && off+total > uint64(len(win)) {
+				break // it starts the next window
+			}
+			data := hdr[:min(total, uint64(len(hdr)))]
+			if uint64(len(data)) < total {
+				data = make([]byte, total) // written directly: read alone
+				if _, err := victim.f.ReadAt(data, int64(pos)); err != nil {
+					return fmt.Errorf("flash: reclaim read %s: %w", victim.path, err)
+				}
+			}
+			if err := s.settleLocked(victim.seq, pos+off, data, now); err != nil {
+				return err
+			}
+			off += total
+		}
+		pos += off
+	}
+	return nil
+}
+
+// settleLocked drops or reinserts one record of a reclaimed segment, the
+// one at off; it does nothing unless that record is what the index holds.
+func (s *Store) settleLocked(seq, off uint64, data []byte, now int64) error {
+	klen := binary.LittleEndian.Uint16(data[5:7])
+	kb := data[headerSize:][:klen]
+	h := keyHash(kb)
+	p := s.index.get(h)
+	if p == nil || p.seg != seq || p.off != off {
+		return nil
+	}
+	switch r := *p; {
+	case r.expires != 0 && r.expires <= now:
+		s.dropIndex(h)
+	case r.freq > 0:
+		// Making room may wait for the sealer with the mutex released, and
+		// a Delete or Put of this key may get in: a copy appended after that
+		// would be the newest record of the key in the log.
+		if err := s.makeRoomLocked(len(data)); err != nil {
+			return err
+		}
+		if cur := s.index.get(h); cur == nil || cur.seg != seq || cur.off != off {
+			return nil
+		}
+		nr, err := s.appendRecord(string(kb), data[headerSize+int(klen):], r.expires, 0, true)
+		if err != nil {
+			return err
+		}
+		s.setIndex(h, nr) // freq resets to zero
+		s.stats.ReclaimKept++
+	default:
+		s.dropIndex(h)
+		s.stats.ReclaimDropped++
+	}
+	return nil
+}
+
 // Get returns the value and expiry stored for key, bumping its
 // read-while-on-flash bit. Expired or unreadable records count as misses
 // and leave the index.
@@ -616,23 +637,31 @@ func (s *Store) Get(key string) (value []byte, expires int64, ok bool) {
 // err is the failed read, or ErrCorrupt, and nil on a hit or a clean miss.
 // The index is probed under the store mutex; a record still staged is
 // copied out of memory there, and any other is read back and checked
-// outside it, its segment held against reclamation meanwhile.
+// outside it, its segment held against reclamation meanwhile. The index
+// holds only the key's hash, so the key in the record is compared with
+// key: a record of another key with the same hash is a miss.
 func (s *Store) Lookup(key string) (value []byte, expires int64, ok bool, err error) {
 	s.mu.Lock()
 	s.stats.Gets++
-	r, found := s.index[key]
-	if found && r.expires != 0 && r.expires <= s.now() {
-		s.dropIndex(key)
-		found = false
+	h := keyHash(key)
+	var r rec
+	p := s.index.get(h)
+	found := p != nil && int(p.klen) == len(key)
+	if found {
+		r = *p
+		if r.expires != 0 && r.expires <= s.now() {
+			s.dropIndex(h)
+			found = false
+		}
 	}
 	var seg *segment
 	var staged []byte
 	if found {
-		if staged = s.stagedLocked(r); staged == nil {
-			if seg = s.segFor(r.seg); seg == nil {
-				s.dropIndex(key)
-				found = false
-			}
+		if staged = s.stagedLocked(r); staged != nil {
+			found = string(staged[headerSize:][:r.klen]) == key
+		} else if seg = s.segFor(r.seg); seg == nil {
+			s.dropIndex(h)
+			found = false
 		}
 	}
 	if !found {
@@ -642,11 +671,7 @@ func (s *Store) Lookup(key string) (value []byte, expires int64, ok bool, err er
 	}
 	s.stats.Hits++
 	if r.freq < 3 {
-		r.freq++
-		// Assigning through a string key makes the map keep that string in
-		// place of the one it held, and a lookup's key is only lent to us
-		// (cache.Tier): hand the map a copy. At most three times a record.
-		s.index[strings.Clone(key)] = r
+		p.freq++
 	}
 	if staged != nil {
 		value = append([]byte(nil), staged[headerSize+int(r.klen):]...)
@@ -663,24 +688,25 @@ func (s *Store) Lookup(key string) (value []byte, expires int64, ok bool, err er
 		binary.LittleEndian.Uint32(buf[19:23]) != recordCRC(buf)) {
 		err = ErrCorrupt
 	}
-	if err != nil {
-		s.mu.Lock()
-		s.stats.Hits-- // counted before the read; it was a miss after all
-		s.stats.Misses++
-		if s.closed {
-			// Close does not wait for readers of live segments; this one found
-			// its file shut. The store is gone, the disk is not at fault.
-			s.mu.Unlock()
-			return nil, 0, false, nil
-		}
-		s.stats.CorruptDropped++
-		if cur, ok := s.index[key]; ok && cur.seg == r.seg && cur.off == r.off {
-			s.dropIndex(key)
-		}
-		s.mu.Unlock()
-		return nil, 0, false, fmt.Errorf("flash: read %s: %w", seg.path, err)
+	if err == nil && string(buf[headerSize:][:r.klen]) == key {
+		return buf[headerSize+uint64(r.klen):], r.expires, true, nil
 	}
-	return buf[headerSize+uint64(r.klen):], r.expires, true, nil
+	s.mu.Lock()
+	s.stats.Hits-- // counted before the read; it was a miss after all
+	s.stats.Misses++
+	if err == nil || s.closed {
+		// Another key's record, or a Lookup that found its file shut: Close
+		// does not wait for readers of live segments. Neither is the disk's
+		// fault.
+		s.mu.Unlock()
+		return nil, 0, false, nil
+	}
+	s.stats.CorruptDropped++
+	if cur := s.index.get(h); cur != nil && cur.seg == r.seg && cur.off == r.off {
+		s.dropIndex(h)
+	}
+	s.mu.Unlock()
+	return nil, 0, false, fmt.Errorf("flash: read %s: %w", seg.path, err)
 }
 
 func (s *Store) segFor(seq uint64) *segment {
@@ -695,16 +721,19 @@ func (s *Store) segFor(seq uint64) *segment {
 }
 
 // Contains reports whether key has a live, unexpired record, without
-// touching its access bit or the Get counters.
+// touching its access bit or the Get counters. It reads no record, so
+// one of another key with the same hash and length counts: the tiered
+// cache then skips a demotion, and so forgets the key.
 func (s *Store) Contains(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.index[key]
-	if !ok {
+	h := keyHash(key)
+	r := s.index.get(h)
+	if r == nil || int(r.klen) != len(key) {
 		return false
 	}
 	if r.expires != 0 && r.expires <= s.now() {
-		s.dropIndex(key)
+		s.dropIndex(h)
 		return false
 	}
 	return true
@@ -721,7 +750,8 @@ func (s *Store) Contains(key string) bool {
 func (s *Store) Delete(key string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[key]; !ok {
+	h := keyHash(key)
+	if s.index.get(h) == nil {
 		// Nothing to tombstone — but a segment reclamation has dropped this
 		// key from may still be awaiting its unlink, and a crash before that
 		// would index the record again with no tombstone behind it.
@@ -730,7 +760,7 @@ func (s *Store) Delete(key string) (bool, error) {
 		}
 		return false, nil
 	}
-	s.dropIndex(key)
+	s.dropIndex(h)
 	s.stats.Deletes++
 	if _, err := s.appendRecord(key, nil, 0, flagTombstone, false); err != nil {
 		return true, err
@@ -745,7 +775,7 @@ func (s *Store) Delete(key string) (bool, error) {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return s.index.n
 }
 
 // LiveBytes returns the bytes of live records (keys + values + headers).
@@ -828,7 +858,7 @@ func (s *Store) Reset() error {
 		}
 	}
 	s.segs = nil
-	s.index = make(map[string]rec)
+	s.index = newIndex()
 	s.diskUsed = 0
 	s.liveBytes = 0
 	s.ioErr, s.untold = nil, false

@@ -260,6 +260,44 @@ func TestReclaimFIFOWithReinsertion(t *testing.T) {
 	}
 }
 
+// TestReclaimReadsThroughWindows reclaims segments four staging buffers
+// long, whose records straddle the window's end or, written directly, are
+// longer than a window, with every third record read so that some are
+// carried forward, some more than once. The counts are golden: the same
+// calls against a store that read each victim whole in one buffer gave
+// exactly these, so a window that lost, split or repeated a record shows.
+func TestReclaimReadsThroughWindows(t *testing.T) {
+	s := openTest(t, t.TempDir(), 8<<20, 2<<20)
+	defer s.Close()
+	val := func(i int) []byte {
+		n := 100_003 // five to a window, the sixth straddles its end
+		if i%7 == 6 {
+			n = stageBytes + 4321 // written directly
+		}
+		return bytes.Repeat([]byte{byte(i)}, n)
+	}
+	const n = 150 // about 20 MiB of Puts through an 8 MiB budget
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
+	for i := 0; i < n; i++ {
+		if err := s.Put(key(i), val(i), 0); err != nil {
+			t.Fatal(err)
+		}
+		for j := i % 3; j <= i; j += 3 * (1 + i%5) {
+			s.Get(key(j))
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got, _, ok := s.Get(key(i)); ok && !bytes.Equal(got, val(i)) {
+			t.Fatalf("%s: %d bytes, not its value", key(i), len(got))
+		}
+	}
+	st := s.Stats()
+	got := [...]uint64{st.Hits, st.Misses, st.BytesWritten, st.GCBytes, st.Reclaims, st.ReclaimDropped, st.ReclaimKept, uint64(s.Len())}
+	if want := [...]uint64{1199, 716, 105982919, 81977243, 44, 92, 541, 58}; got != want {
+		t.Fatalf("hits, misses, bytes written, GC bytes, reclaims, dropped, kept, len = %v, want %v", got, want)
+	}
+}
+
 func TestTTLExpiry(t *testing.T) {
 	s := openTest(t, t.TempDir(), 1<<20, 16<<10)
 	defer s.Close()

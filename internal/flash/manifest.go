@@ -2,14 +2,17 @@
 // Close serializes the in-memory index (plus the segment list and each
 // record's read-while-on-flash counter) into one manifest file; the next
 // Open loads it and skips the full checksummed log scan, so recovery
-// time is proportional to the index, not the store.
+// time is proportional to the index, not the store. Version 2 records
+// each entry's key hash and key length, not the key; a version 1 file
+// fails the magic check and Open scans.
 //
 // Safety protocol: the manifest is only trusted when every segment file
 // it names still exists at exactly the recorded size (a crash after the
 // manifest was written appends nothing — Close has already sealed the
 // log), and it is deleted immediately after a successful load, so a
 // later crash falls back to the scan instead of replaying a stale
-// index. A torn manifest write fails its own CRC and is ignored. The
+// index. A torn manifest write fails its own CRC and is ignored, and one
+// that names a record outside its segments is not trusted at all. The
 // scan therefore remains the source of truth; the manifest is purely an
 // optimization over it.
 package flash
@@ -23,7 +26,11 @@ import (
 
 const manifestName = "index.man"
 
-var manifestMagic = [8]byte{'S', 'F', 'L', 'M', 'A', 'N', '0', '1'}
+var manifestMagic = [8]byte{'S', 'F', 'L', 'M', 'A', 'N', '0', '2'}
+
+// manifestEntry is the encoded size of one index entry: hash, klen, seg,
+// off, vlen, expires, freq.
+const manifestEntry = 8 + 2 + 8 + 8 + 4 + 8 + 1
 
 func (s *Store) manifestPath() string {
 	return filepath.Join(s.opts.Dir, manifestName)
@@ -41,10 +48,14 @@ func (s *Store) writeManifestLocked() error {
 		buf = binary.LittleEndian.AppendUint64(buf, seg.seq)
 		buf = binary.LittleEndian.AppendUint64(buf, seg.size)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.index)))
-	for key, r := range s.index {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(key)))
-		buf = append(buf, key...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.index.n))
+	for _, sl := range s.index.slots {
+		if sl.klen == 0 {
+			continue
+		}
+		r := sl.rec
+		buf = binary.LittleEndian.AppendUint64(buf, sl.hash)
+		buf = binary.LittleEndian.AppendUint16(buf, r.klen)
 		buf = binary.LittleEndian.AppendUint64(buf, r.seg)
 		buf = binary.LittleEndian.AppendUint64(buf, r.off)
 		buf = binary.LittleEndian.AppendUint32(buf, r.vlen)
@@ -101,95 +112,78 @@ func (s *Store) loadManifest() bool {
 	}
 	segCount := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
-	type segMeta struct {
-		seq, size uint64
-	}
-	segs := make([]segMeta, 0, segCount)
-	for i := 0; i < segCount; i++ {
-		if !need(16) {
-			return false
-		}
-		segs = append(segs, segMeta{
-			seq:  binary.LittleEndian.Uint64(body[off:]),
-			size: binary.LittleEndian.Uint64(body[off+8:]),
-		})
-		off += 16
-	}
-	// Validate the on-disk reality against the manifest before touching
-	// any store state: every named segment at its exact recorded size, no
-	// extra segment files beyond the named set.
-	names, err := s.opts.FS.Glob(filepath.Join(s.opts.Dir, "*.seg"))
-	if err != nil || len(names) != len(segs) {
+	if !need(16 * segCount) {
 		return false
 	}
-	for _, sm := range segs {
-		size, err := s.opts.FS.Stat(segPath(s.opts.Dir, sm.seq))
-		if err != nil || uint64(size) != sm.size {
+	// Validate the on-disk reality against the manifest before touching
+	// any store state: every named segment, in order, at its exact
+	// recorded size, and no segment file beyond the named set.
+	names, err := s.opts.FS.Glob(filepath.Join(s.opts.Dir, "*.seg"))
+	if err != nil || len(names) != segCount {
+		return false
+	}
+	segs := make([]*segment, segCount)
+	for i := range segs {
+		seq, size := binary.LittleEndian.Uint64(body[off:]), binary.LittleEndian.Uint64(body[off+8:])
+		off += 16
+		if i > 0 && seq <= segs[i-1].seq {
+			return false // out of order, or named twice
+		}
+		segs[i] = &segment{seq: seq, path: segPath(s.opts.Dir, seq), size: size}
+		if n, err := s.opts.FS.Stat(segs[i].path); err != nil || uint64(n) != size {
 			return false
 		}
 	}
-
 	if !need(8) {
 		return false
 	}
 	entryCount := binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	index := make(map[string]rec, entryCount)
-	now := s.now()
-	for i := uint64(0); i < entryCount; i++ {
-		if !need(2) {
-			return false
-		}
-		klen := int(binary.LittleEndian.Uint16(body[off:]))
-		off += 2
-		if klen == 0 || !need(klen+8+8+4+8+1) {
-			return false
-		}
-		key := string(body[off : off+klen])
-		off += klen
-		r := rec{
-			seg:     binary.LittleEndian.Uint64(body[off:]),
-			off:     binary.LittleEndian.Uint64(body[off+8:]),
-			vlen:    binary.LittleEndian.Uint32(body[off+16:]),
-			expires: int64(binary.LittleEndian.Uint64(body[off+20:])),
-			freq:    body[off+28],
-			klen:    uint16(klen),
-		}
-		off += 8 + 8 + 4 + 8 + 1
-		if r.expires != 0 && r.expires <= now {
-			continue // expired while down, same as the scan's treatment
-		}
-		index[key] = r
-	}
-	if off != len(body) {
+	if rest := uint64(len(body) - off); rest%manifestEntry != 0 || entryCount != rest/manifestEntry {
 		return false
 	}
 
-	// Commit: open the segment files in sequence order, newest writable.
-	for i, sm := range segs {
+	// Commit: open the segment files in sequence order, newest writable,
+	// and index the entries. Anything amiss unwinds, so the scan fallback
+	// starts from pristine state.
+	unwind := func() bool {
+		s.closeAll()
+		s.segs, s.index = nil, newIndex()
+		s.diskUsed, s.liveBytes, s.nextSeq = 0, 0, 0
+		return false
+	}
+	for i, seg := range segs {
 		mode := os.O_RDONLY
 		if i == len(segs)-1 {
 			mode = os.O_RDWR
 		}
-		f, err := s.opts.FS.OpenFile(segPath(s.opts.Dir, sm.seq), mode, 0o644)
-		if err != nil {
-			// Unwind so the scan fallback starts from pristine state.
-			s.closeAll()
-			s.segs = nil
-			s.diskUsed = 0
-			s.nextSeq = 0
-			return false
+		if seg.f, err = s.opts.FS.OpenFile(seg.path, mode, 0o644); err != nil {
+			return unwind()
 		}
-		s.segs = append(s.segs, &segment{seq: sm.seq, path: segPath(s.opts.Dir, sm.seq), f: f, size: sm.size})
-		s.diskUsed += sm.size
-		if sm.seq >= s.nextSeq {
-			s.nextSeq = sm.seq + 1
-		}
+		s.segs = append(s.segs, seg)
+		s.diskUsed += seg.size
+		s.nextSeq = seg.seq + 1
 	}
-	for key, r := range index {
-		s.setIndex(key, r)
+	now := s.now()
+	for ; off < len(body); off += manifestEntry {
+		e := body[off:]
+		h, r := binary.LittleEndian.Uint64(e), rec{
+			klen:    binary.LittleEndian.Uint16(e[8:]),
+			seg:     binary.LittleEndian.Uint64(e[10:]),
+			off:     binary.LittleEndian.Uint64(e[18:]),
+			vlen:    binary.LittleEndian.Uint32(e[26:]),
+			expires: int64(binary.LittleEndian.Uint64(e[30:])),
+			freq:    e[38],
+		}
+		// An entry must lie inside a segment the manifest names.
+		if seg := s.segFor(r.seg); r.klen == 0 || seg == nil || r.off > seg.size || r.size() > seg.size-r.off {
+			return unwind()
+		}
+		if r.expires == 0 || r.expires > now { // else expired while down, as the scan treats it
+			s.setIndex(h, r)
+		}
 	}
 	s.stats.ManifestRecovered = true
-	s.stats.RecoveredRecords = uint64(len(index))
+	s.stats.RecoveredRecords = uint64(s.index.n)
 	return true
 }

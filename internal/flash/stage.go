@@ -308,9 +308,9 @@ func (s *Store) unindexLocked(seq, base uint64, data []byte) {
 	for off := 0; off+headerSize <= len(data); {
 		klen := int(binary.LittleEndian.Uint16(data[off+5:]))
 		vlen := int(binary.LittleEndian.Uint32(data[off+7:]))
-		key := data[off+headerSize:][:klen]
-		if r, ok := s.index[string(key)]; ok && r.seg == seq && r.off == base+uint64(off) {
-			s.dropIndex(string(key))
+		h := keyHash(data[off+headerSize:][:klen])
+		if r := s.index.get(h); r != nil && r.seg == seq && r.off == base+uint64(off) {
+			s.dropIndex(h)
 		}
 		off += headerSize + klen + vlen
 	}

@@ -95,12 +95,7 @@ func New(nodes []string, opts Options) *Ring {
 // hashString is FNV-1a folded through the repository's shared mixer, so
 // ring placement uses the same key fingerprints as everything else.
 func hashString(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return sketch.Hash(h, 0x52494E47) // seed "RING"
+	return sketch.Hash(sketch.FNV1a(s), 0x52494E47) // seed "RING"
 }
 
 // build places every node's virtual points and runs the bounded-load

@@ -22,6 +22,20 @@ func mix64(x uint64) uint64 {
 // ghost table and sharded caches, which need compatible fingerprints.
 func Hash(key, seed uint64) uint64 { return mix64(key ^ mix64(seed)) }
 
+// FNV1a is FNV-1a over the bytes of key, the one string hash every
+// package folds through Hash with a seed of its own (or uses raw). Its
+// offset basis is this repository's 1469598103934665603, one digit short
+// of the standard 14695981039346656037; changing it would move every
+// admission ID, ring placement and shard choice.
+func FNV1a[K string | []byte](key K) uint64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // CountMin is a 4-row count-min sketch of 4-bit counters with TinyLFU-style
 // aging: once the total number of increments reaches the reset sample size,
 // every counter is halved. Estimates are therefore frequency over a sliding

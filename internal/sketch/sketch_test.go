@@ -213,3 +213,18 @@ func BenchmarkCountMinEstimate(b *testing.B) {
 		cm.Estimate(uint64(i))
 	}
 }
+
+// TestFNV1aKeepsTheRepositoryBasis pins the offset basis every admission
+// ID, ring placement and shard choice is keyed by (one digit short of the
+// standard 14695981039346656037), and the two key types agreeing.
+func TestFNV1aKeepsTheRepositoryBasis(t *testing.T) {
+	if got := FNV1a(""); got != 1469598103934665603 {
+		t.Fatalf(`FNV1a("") = %d`, got)
+	}
+	if got := FNV1a("key-1"); got != 11225851812007222668 {
+		t.Fatalf(`FNV1a("key-1") = %d`, got)
+	}
+	if FNV1a([]byte("key-1")) != FNV1a("key-1") {
+		t.Fatal("string and []byte hash differently")
+	}
+}
