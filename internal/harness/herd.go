@@ -32,10 +32,6 @@ import (
 //	          grace window, and confirmed-absent keys are negatively
 //	          cached
 //
-// A fourth knob, TTLJitter, desynchronizes the expiry instant itself at
-// Set time — it composes with any mode and attacks the herd's cause
-// rather than its symptom.
-//
 // Alongside the hot sweep the harness runs the background traffic that
 // makes the cache realistic rather than a single-purpose rig: a
 // one-hit-wonder stream (unique keys, read once — the S3-FIFO small
@@ -52,19 +48,8 @@ type HerdConfig struct {
 	// expiry instant (default 2; only the first sweep finds the keys
 	// cold, later sweeps verify the refill actually took).
 	Rounds int
-	// ValueBytes is the payload size (default 64).
-	ValueBytes int
-	// TTL is the hot-set warm TTL — the synchronized expiry horizon.
-	// The wire rounds TTLs up to whole seconds (default 1s).
-	TTL time.Duration
-	// Grace is the stale-while-revalidate window offered in lease mode
-	// (default 60s).
-	Grace time.Duration
 	// Mode is "off", "coalesce", or "lease" (default "off").
 	Mode string
-	// TTLJitter is the server's per-key TTL spread fraction in [0,1]
-	// (default 0: worst case, fully synchronized expiry).
-	TTLJitter float64
 	// MissingKeys is the number of distinct keys the backend does not
 	// have, probed round-robin throughout the sweep (default 64).
 	MissingKeys int
@@ -73,13 +58,23 @@ type HerdConfig struct {
 	// sequential scan burst (default 500).
 	OneHitWonders int
 	BurstScan     int
-	// BackendDelay simulates the backend fetch latency — the window in
-	// which the herd piles up (default 2ms).
-	BackendDelay time.Duration
-	// PipelineDepth is each worker connection's in-flight window
-	// (default 8).
-	PipelineDepth int
 }
+
+// The herd's fixed parameters.
+const (
+	herdValueBytes = 64
+	// herdTTL is the hot-set warm TTL, the synchronized expiry horizon;
+	// the wire rounds TTLs up to whole seconds.
+	herdTTL = time.Second
+	// herdGrace is the stale-while-revalidate window offered in lease
+	// mode.
+	herdGrace = 60 * time.Second
+	// herdBackendDelay simulates the backend fetch latency: the window in
+	// which the herd piles up.
+	herdBackendDelay = 2 * time.Millisecond
+	// herdPipelineDepth is each worker connection's in-flight window.
+	herdPipelineDepth = 8
+)
 
 func (c HerdConfig) withDefaults() HerdConfig {
 	if c.HotKeys <= 0 {
@@ -90,15 +85,6 @@ func (c HerdConfig) withDefaults() HerdConfig {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 2
-	}
-	if c.ValueBytes <= 0 {
-		c.ValueBytes = 64
-	}
-	if c.TTL <= 0 {
-		c.TTL = time.Second
-	}
-	if c.Grace <= 0 {
-		c.Grace = 60 * time.Second
 	}
 	if c.Mode == "" {
 		c.Mode = "off"
@@ -118,41 +104,32 @@ func (c HerdConfig) withDefaults() HerdConfig {
 	} else if c.BurstScan == 0 {
 		c.BurstScan = 500
 	}
-	if c.BackendDelay <= 0 {
-		c.BackendDelay = 2 * time.Millisecond
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 8
-	}
 	return c
 }
 
 // HerdResult is one mode's measurement.
 type HerdResult struct {
-	Mode      string  `json:"mode"`
-	TTLJitter float64 `json:"ttl_jitter"`
-	HotKeys   int     `json:"hot_keys"`
-	Workers   int     `json:"workers"`
+	Mode    string
+	HotKeys int
+	Workers int
 
 	// Amplification is the headline number: backend fetches of hot keys
 	// per unique hot key, after the synchronized expiry. 1.0 is perfect
 	// coalescing; Workers is the worst case.
-	Amplification float64 `json:"amplification"`
-	HotFills      uint64  `json:"hot_fills"`
-	HotLookups    uint64  `json:"hot_lookups"`
+	Amplification float64
+	HotFills      uint64
+	HotLookups    uint64
 
 	// MissingProbes counts backend fetches for keys the backend does not
 	// have; negative caching is what keeps it below MissingLookups.
-	MissingProbes  uint64 `json:"missing_probes"`
-	MissingLookups uint64 `json:"missing_lookups"`
+	MissingProbes  uint64
+	MissingLookups uint64
 
-	StaleServed    uint64 `json:"stale_served"`    // server: grace-window serves
-	NegativeHits   uint64 `json:"negative_hits"`   // server: tombstone answers
-	LeaseGrants    uint64 `json:"lease_grants"`    // server: fill leases granted
-	CoalescedWaits uint64 `json:"coalesced_waits"` // server: lookups parked on fills
+	StaleServed uint64 // server: grace-window serves
+	LeaseGrants uint64 // server: fill leases granted
 
-	ClientErrors uint64        `json:"client_errors"`
-	Elapsed      time.Duration `json:"elapsed_ns"`
+	ClientErrors uint64
+	Elapsed      time.Duration
 }
 
 // herdBackend is the simulated origin datastore: it has every hot key,
@@ -193,9 +170,9 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 		return HerdResult{}, fmt.Errorf("harness: unknown herd mode %q (want off, coalesce, or lease)", cfg.Mode)
 	}
 
-	entryBytes := 24 + cfg.ValueBytes
+	entryBytes := 24 + herdValueBytes
 	capacity := uint64(cfg.HotKeys+cfg.MissingKeys+cfg.OneHitWonders+cfg.BurstScan+1024) * uint64(entryBytes) * 2
-	c, err := cache.New(cache.Config{MaxBytes: capacity, TTLJitter: cfg.TTLJitter})
+	c, err := cache.New(cache.Config{MaxBytes: capacity})
 	if err != nil {
 		return HerdResult{}, err
 	}
@@ -203,7 +180,7 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 	if cfg.Mode != "off" {
 		opts = append(opts, server.WithAntiStampede(server.AntiStampede{
 			Coalesce: true,
-			Grace:    cfg.Grace,
+			Grace:    herdGrace,
 		}))
 	}
 	srv := server.New(c, opts...)
@@ -215,7 +192,7 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 	go srv.Serve(l)
 	addr := l.Addr().String()
 
-	backend := &herdBackend{value: make([]byte, cfg.ValueBytes), delay: cfg.BackendDelay}
+	backend := &herdBackend{value: make([]byte, herdValueBytes), delay: herdBackendDelay}
 	hotKeys := make([]string, cfg.HotKeys)
 	for i := range hotKeys {
 		hotKeys[i] = fmt.Sprintf("hot:%06d", i)
@@ -223,7 +200,7 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 
 	clients := make([]*client.Client, cfg.Workers)
 	for i := range clients {
-		cl, err := client.DialOptions(addr, client.Options{Pipeline: cfg.PipelineDepth})
+		cl, err := client.DialOptions(addr, client.Options{Pipeline: herdPipelineDepth})
 		if err != nil {
 			return HerdResult{}, err
 		}
@@ -236,15 +213,14 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 	// herd. Warm fills come from the harness, not the backend — the
 	// amplification count starts at zero.
 	for _, key := range hotKeys {
-		if _, err := clients[0].SetWithTTL(key, backend.value, cfg.TTL); err != nil {
+		if _, err := clients[0].SetWithTTL(key, backend.value, herdTTL); err != nil {
 			return HerdResult{}, err
 		}
 	}
-	// Sleep past the expiry instant (plus the wire's round-up and any
-	// jitter spread) so the first sweep finds every key cold at once.
-	ttlSecs := (cfg.TTL + time.Second - 1) / time.Second * time.Second
-	jitterPad := time.Duration(float64(ttlSecs) * cfg.TTLJitter)
-	time.Sleep(ttlSecs + jitterPad + 50*time.Millisecond)
+	// Sleep past the expiry instant (plus the wire's round-up) so the
+	// first sweep finds every key cold at once.
+	ttlSecs := (herdTTL + time.Second - 1) / time.Second * time.Second
+	time.Sleep(ttlSecs + 50*time.Millisecond)
 
 	var (
 		res     HerdResult
@@ -339,7 +315,6 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 		return HerdResult{}, err
 	}
 	res.Mode = cfg.Mode
-	res.TTLJitter = cfg.TTLJitter
 	res.HotKeys = cfg.HotKeys
 	res.Workers = cfg.Workers
 	res.HotFills = backend.hotFills.Load()
@@ -348,9 +323,7 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 	res.MissingLookups = misLook.Load()
 	res.Amplification = float64(res.HotFills) / float64(cfg.HotKeys)
 	res.StaleServed = st.StaleServed
-	res.NegativeHits = st.NegativeHits
 	res.LeaseGrants = st.LeaseGrants
-	res.CoalescedWaits = st.CoalescedWaits
 	res.ClientErrors = errs.Load()
 	return res, nil
 }
@@ -360,7 +333,7 @@ func Herd(cfg HerdConfig) (HerdResult, error) {
 // real client of each mode would run.
 func herdLookup(cl *client.Client, cfg HerdConfig, backend *herdBackend, key string) error {
 	if cfg.Mode == "lease" {
-		r, err := cl.GetX(key, cfg.Grace)
+		r, err := cl.GetX(key, herdGrace)
 		if err != nil {
 			return err
 		}

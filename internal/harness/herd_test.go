@@ -55,7 +55,7 @@ func TestHerdAmplification(t *testing.T) {
 // expiry driven through real TCP in the naive and lease modes. It
 // asserts the direction of the result (leases strictly reduce backend
 // fill amplification, nobody sees an error), leaving the full-size
-// ratio assertions to TestHerdAmplification and cmd/throughput -herd.
+// ratio assertions to TestHerdAmplification.
 func TestHerdSmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("herd smoke waits out a real TTL expiry")

@@ -5,7 +5,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"time"
 
 	"s3fifo/cache"
 	"s3fifo/client"
@@ -30,10 +29,6 @@ type RestartSweepConfig struct {
 	// 20_000): the steady-state window before shutdown and the first
 	// window after each restart.
 	WindowOps int
-	// ValueBytes is the payload size (default 64).
-	ValueBytes int
-	// Engines to measure (default cache.Engines()).
-	Engines []string
 	// Dir holds the snapshot files (default: a fresh temp directory,
 	// removed afterwards).
 	Dir string
@@ -49,14 +44,11 @@ func (c RestartSweepConfig) withDefaults() RestartSweepConfig {
 	if c.WindowOps <= 0 {
 		c.WindowOps = 20_000
 	}
-	if c.ValueBytes <= 0 {
-		c.ValueBytes = 64
-	}
-	if len(c.Engines) == 0 {
-		c.Engines = cache.Engines()
-	}
 	return c
 }
+
+// restartValueBytes is the payload size of every request.
+const restartValueBytes = 64
 
 // RestartRow is one engine's warm-restart measurement.
 type RestartRow struct {
@@ -68,10 +60,6 @@ type RestartRow struct {
 	// ColdHitRatio is the first window after a cold restart (fresh
 	// cache, same config) — the re-warming outage being avoided.
 	ColdHitRatio float64
-	// SnapshotBytes is the on-disk size of the metadata snapshot.
-	SnapshotBytes int64
-	// Save and Load are the snapshot write and restore durations.
-	Save, Load time.Duration
 }
 
 // Recovery is WarmHitRatio / SteadyHitRatio: the fraction of the
@@ -100,11 +88,11 @@ func RestartSweep(cfg RestartSweepConfig) ([]RestartRow, error) {
 		}
 		defer os.RemoveAll(dir)
 	}
-	warm := concurrent.NewZipfWorkload(cfg.Objects, cfg.WarmOps, 1.0, cfg.ValueBytes, 42)
-	steadyW := concurrent.NewZipfWorkload(cfg.Objects, cfg.WindowOps, 1.0, cfg.ValueBytes, 43)
-	postW := concurrent.NewZipfWorkload(cfg.Objects, cfg.WindowOps, 1.0, cfg.ValueBytes, 44)
+	warm := concurrent.NewZipfWorkload(cfg.Objects, cfg.WarmOps, 1.0, restartValueBytes, 42)
+	steadyW := concurrent.NewZipfWorkload(cfg.Objects, cfg.WindowOps, 1.0, restartValueBytes, 43)
+	postW := concurrent.NewZipfWorkload(cfg.Objects, cfg.WindowOps, 1.0, restartValueBytes, 44)
 	var out []RestartRow
-	for _, engine := range cfg.Engines {
+	for _, engine := range cache.Engines() {
 		row, err := restartOne(engine, cfg, dir, warm, steadyW, postW)
 		if err != nil {
 			return nil, fmt.Errorf("harness: restart, engine %s: %w", engine, err)
@@ -152,7 +140,7 @@ func restartWindow(addr string, w *concurrent.Workload) (float64, error) {
 }
 
 func restartOne(engine string, cfg RestartSweepConfig, dir string, warm, steadyW, postW *concurrent.Workload) (RestartRow, error) {
-	entryBytes := 16 + cfg.ValueBytes
+	entryBytes := 16 + restartValueBytes
 	conf := cache.Config{
 		MaxBytes: uint64(cfg.Objects/10) * uint64(entryBytes),
 		Engine:   engine,
@@ -183,26 +171,19 @@ func restartOne(engine string, cfg RestartSweepConfig, dir string, warm, steadyW
 
 	// Phase 2: shut down into a snapshot.
 	path := filepath.Join(dir, "restart-"+engine+".snap")
-	t0 := time.Now()
 	if err := c.SaveFile(path); err != nil {
 		c.Close()
 		return row, err
 	}
-	row.Save = time.Since(t0)
 	if err := c.Close(); err != nil {
 		return row, err
 	}
-	if fi, err := os.Stat(path); err == nil {
-		row.SnapshotBytes = fi.Size()
-	}
 
 	// Phase 3: warm restart from the snapshot, measure the first window.
-	t0 = time.Now()
 	restored, err := cache.LoadFile(path, conf)
 	if err != nil {
 		return row, err
 	}
-	row.Load = time.Since(t0)
 	addr, stop, err = restartServe(restored)
 	if err != nil {
 		restored.Close()

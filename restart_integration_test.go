@@ -11,7 +11,7 @@ import (
 // recover at least 95% of the steady-state hit ratio for every engine —
 // the paper's "restart without the re-warming outage" claim, asserted
 // end-to-end over real TCP. A scaled-down sweep keeps it test-sized; the
-// full-size numbers live in BENCH_restart.json.
+// full-size sweep is harness.RestartSweep with its defaults.
 func TestWarmRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("restart sweep needs a warmed server")
