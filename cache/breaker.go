@@ -7,7 +7,7 @@
 // bypassed, and a background prober retries the backend with
 // exponential backoff until it answers again. The breaker is generic
 // over the Tier interface (tier.go): the same machinery guards the
-// flash store, the file tier, and a remote peer.
+// flash store and a remote peer alike.
 //
 // Consistency across the outage is the subtle part. While degraded, a
 // Set or Delete cannot tombstone the key's tier copy (that would hammer

@@ -59,9 +59,6 @@ type Config struct {
 	// 16 on the policy engine, a GOMAXPROCS-based count on the concurrent
 	// one). More shards: less lock contention, less exact eviction order.
 	Shards int
-	// SmallQueueRatio overrides S3-FIFO's small-queue fraction (default
-	// 0.10). Ignored for other policies.
-	SmallQueueRatio float64
 	// OnEvict, when set, is called after an entry leaves the cache due to
 	// eviction (not Delete). With a flash tier it fires only when the
 	// entry leaves the cache entirely (declined by flash admission), not
@@ -79,19 +76,18 @@ type Config struct {
 	// Set returns.
 	OnEvict func(key string, value []byte)
 
-	// Tier selects the second-tier backend under DRAM: "flash" (the
-	// log-structured segment store, internal/flash), "file" (the bucketed
-	// file-persist store, internal/filetier), or "remote" (a peer
-	// s3cached node over the binary protocol). Empty infers "remote" when
-	// TierAddr is set, "flash" when FlashDir is, else no second tier. See
-	// Tiers for the list and tier.go for the contract.
-	Tier string
-	// TierAddr is the peer address for the "remote" tier.
+	// The second tier under DRAM is worked out from its inputs:
+	// SecondTier when set, else the "remote" tier when TierAddr is, else
+	// the "flash" tier when FlashDir is, else none. See tier.go for the
+	// contract.
+	//
+	// TierAddr, when non-empty, adds the "remote" tier: a peer s3cached
+	// node over the binary protocol.
 	TierAddr string
 	// SecondTier, when non-nil, is an explicit Tier instance to use
-	// instead of constructing one from Tier/FlashDir/TierAddr. The cache
-	// takes ownership (Close closes it). Mutually exclusive with Tier;
-	// intended for tests and embedders with custom backends.
+	// instead of constructing one from TierAddr or FlashDir. The cache
+	// takes ownership (Close closes it). Intended for tests and embedders
+	// with custom backends.
 	SecondTier Tier
 
 	// FlashDir, when non-empty, adds a flash tier: a log-structured
@@ -99,12 +95,11 @@ type Config struct {
 	// Flash hits transparently promote back into DRAM. The directory is
 	// created if missing; reopening a cache with the same directory
 	// recovers the flash contents (manifest fast path after a clean
-	// shutdown, checksummed segment scan otherwise). The "file" tier
-	// reuses FlashDir as its directory.
+	// shutdown, checksummed segment scan otherwise).
 	FlashDir string
-	// FlashBytes caps the on-disk second tier's footprint. Required for
-	// the "flash" and "file" tiers; for "remote" it is only the ghost
-	// admission policy's sizing hint (default 256 MiB).
+	// FlashBytes caps the flash tier's footprint. Required with FlashDir;
+	// for "remote" it is only the ghost admission policy's sizing hint
+	// (default 256 MiB).
 	FlashBytes uint64
 	// FlashSegmentBytes overrides the flash segment file size (default
 	// 4 MiB; see flash.Options).
@@ -131,19 +126,6 @@ type Config struct {
 	// 100ms and 30s.
 	FlashRetryMin time.Duration
 	FlashRetryMax time.Duration
-
-	// TTLJitter, in [0, 1], stretches every SetWithTTL deadline by a
-	// deterministic per-key fraction of the TTL in [0, TTLJitter). Keys
-	// written together with the same TTL then expire spread over the
-	// jitter window instead of at one instant — the cheap first defense
-	// against TTL-expiry thundering herds. 0 (default) disables jitter.
-	TTLJitter float64
-	// NegativeEntries bounds the negative cache — the side table of
-	// confirmed-missing keys recorded by SetNegative and consulted on the
-	// miss path. 0 means the default bound (4096 entries); the table is
-	// FIFO-bounded, never charged against MaxBytes, and never demoted to
-	// a second tier.
-	NegativeEntries int
 
 	// Metrics, when non-nil, registers the cache's metric catalog with
 	// the registry: hit/miss/set counters, the eviction-flow taxonomy,
@@ -190,8 +172,8 @@ type Stats struct {
 	// tier kind is configured (TierKind says which).
 	DRAMHits  uint64
 	FlashHits uint64
-	// TierKind is the active second tier's kind ("flash", "file",
-	// "remote", ...), empty without one.
+	// TierKind is the active second tier's kind ("flash", "remote", or
+	// a SecondTier's own), empty without one.
 	TierKind string
 	// SnapshotUnixNano is the save time of the snapshot this cache was
 	// restored from (see Load/LoadFile), or of the last Save; 0 when
@@ -258,10 +240,8 @@ type Cache struct {
 	evictMu sync.Mutex
 	evictQ  []evictedPair
 
-	// Anti-stampede state: the negative-tombstone table (always present;
-	// free while empty) and the per-key TTL jitter fraction.
-	neg       *negCache
-	ttlJitter float64
+	// The negative-tombstone table: always present, free while empty.
+	neg *negCache
 
 	ops          opCounters // hits, misses, sets: striped, see counters.go
 	promotions   atomic.Uint64
@@ -291,14 +271,7 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MaxBytes == 0 {
 		return nil, fmt.Errorf("cache: MaxBytes must be positive")
 	}
-	if cfg.TTLJitter < 0 || cfg.TTLJitter > 1 {
-		return nil, fmt.Errorf("cache: TTLJitter must be in [0, 1], got %v", cfg.TTLJitter)
-	}
-	c := &Cache{
-		onEvict:   cfg.OnEvict,
-		neg:       newNegCache(cfg.NegativeEntries),
-		ttlJitter: cfg.TTLJitter,
-	}
+	c := &Cache{onEvict: cfg.OnEvict, neg: newNegCache()}
 	tier, err := newSecondTier(cfg)
 	if err != nil {
 		return nil, err
@@ -353,8 +326,8 @@ func (c *Cache) FlashDegraded() bool {
 	return c.tier != nil && !c.tier.available()
 }
 
-// TierKind returns the active second tier's kind ("flash", "file",
-// "remote", ...), or "" without one.
+// TierKind returns the active second tier's kind ("flash", "remote", or
+// a SecondTier's own), or "" without one.
 func (c *Cache) TierKind() string {
 	if c.tier == nil {
 		return ""

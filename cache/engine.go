@@ -73,9 +73,10 @@ type Engine interface {
 	// operation. Engines running a non-S3-FIFO policy report their whole
 	// residency as the main queue and zero small/ghost occupancy.
 	Occupancy() QueueOccupancy
-	// Sample returns up to max resident keys ordered hottest-first by the
-	// engine's access-frequency counter, for cluster warm-up (the KEYS
-	// command). Engines without per-key frequency report Freq 0 and an
+	// Sample returns up to max resident keys without a TTL, ordered
+	// hottest-first by the engine's access-frequency counter, for cluster
+	// warm-up (the KEYS command, which carries no TTL: a copy of a TTL'd
+	// key would outlive it). Engines without per-key frequency report Freq 0 and an
 	// arbitrary resident sample. Like Range it may observe concurrent
 	// mutation; it is a scrape-time operation, not a hot-path one.
 	Sample(max int) []KeySample
@@ -120,10 +121,9 @@ const (
 // engineConfig is what a facade Config boils down to by the time an
 // engine is constructed.
 type engineConfig struct {
-	maxBytes        uint64
-	shards          int
-	policy          string
-	smallQueueRatio float64
+	maxBytes uint64
+	shards   int
+	policy   string
 	// onEvict observes every capacity eviction. May run under engine
 	// locks; see the Engine contract.
 	onEvict func(EngineEviction)
@@ -165,10 +165,9 @@ func newEngine(cfg Config, onEvict func(EngineEviction)) (Engine, error) {
 		return nil, fmt.Errorf("cache: engine %q implements only the s3fifo policy, not %q", name, cfg.Policy)
 	}
 	return factory(engineConfig{
-		maxBytes:        cfg.MaxBytes,
-		shards:          cfg.Shards,
-		policy:          cfg.Policy,
-		smallQueueRatio: cfg.SmallQueueRatio,
-		onEvict:         onEvict,
+		maxBytes: cfg.MaxBytes,
+		shards:   cfg.Shards,
+		policy:   cfg.Policy,
+		onEvict:  onEvict,
 	})
 }

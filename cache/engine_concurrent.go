@@ -14,9 +14,8 @@ import "s3fifo/internal/concurrent"
 // tombstones after in-flight demotions (see cache/tiered.go).
 func newConcurrentEngine(cfg engineConfig) (Engine, error) {
 	return concurrent.NewKV(concurrent.KVConfig{
-		MaxBytes:   cfg.maxBytes,
-		Shards:     cfg.shards,
-		SmallRatio: cfg.smallQueueRatio,
+		MaxBytes: cfg.maxBytes,
+		Shards:   cfg.shards,
 		// TTL checks share the facade's clock so fake-clock tests drive
 		// both engines identically.
 		Now:     func() int64 { return now().UnixNano() },

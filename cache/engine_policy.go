@@ -76,7 +76,7 @@ func newPolicyEngine(cfg engineConfig) (Engine, error) {
 			// perShard is a byte budget, not the object count core's default
 			// ghost sizing reads it as: start the table small and let it
 			// regrow as |M| is learned, as the concurrent engine does.
-			return core.NewS3FIFO(perShard, core.Options{SmallRatio: cfg.smallQueueRatio, GhostEntries: 16}), nil
+			return core.NewS3FIFO(perShard, core.Options{GhostEntries: 16}), nil
 		}
 		if f, ok := core.Factories()[pol]; ok {
 			return f(perShard), nil
@@ -353,7 +353,7 @@ func (pe *policyEngine) Sample(max int) []KeySample {
 		s.mu.Lock()
 		taken := 0
 		for key, e := range s.entries {
-			if e.expired() {
+			if e.expiresAt != 0 {
 				continue
 			}
 			out = append(out, KeySample{Key: key})

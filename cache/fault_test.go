@@ -2,8 +2,8 @@
 // check that the facade degrades to DRAM-only serving instead of
 // surfacing errors, then restores cleanly when the faults lift. Every
 // test runs against each Tier implementation that can fail on demand —
-// the flash store and the file tier over a faultfs.Injector, and the
-// in-memory mock tier — because the breaker is generic over the Tier
+// the flash store over a faultfs.Injector, and the in-memory mock tier —
+// because the breaker is generic over the Tier
 // interface and must behave identically above all of them.
 package cache
 
@@ -23,10 +23,9 @@ type faultTier struct {
 }
 
 func faultTiers() []faultTier {
-	injected := func(kind string) func(t *testing.T, cfg *Config) (func(), func()) {
-		return func(t *testing.T, cfg *Config) (func(), func()) {
+	return []faultTier{
+		{name: "flash", setup: func(t *testing.T, cfg *Config) (func(), func()) {
 			inj := faultfs.New(faultfs.OS(), 1)
-			cfg.Tier = kind
 			cfg.FlashDir = t.TempDir()
 			cfg.FlashBytes = 1 << 20
 			cfg.FlashSegmentBytes = 16 << 10
@@ -36,11 +35,7 @@ func faultTiers() []faultTier {
 				inj.FailAfter(faultfs.OpSync, 0)
 			}
 			return breakIO, inj.Clear
-		}
-	}
-	return []faultTier{
-		{name: "flash", setup: injected("flash")},
-		{name: "file", setup: injected("file")},
+		}},
 		{name: "mock", setup: func(t *testing.T, cfg *Config) (func(), func()) {
 			mt := newMockTier()
 			cfg.SecondTier = mt

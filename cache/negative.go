@@ -11,10 +11,9 @@ import (
 // the miss path — so a small fixed fan-out suffices.
 const negShards = 8
 
-// defaultNegativeEntries bounds the negative cache when Config leaves
-// NegativeEntries zero. At ~300 bytes per entry (key + map overhead)
-// the default footprint tops out near a megabyte.
-const defaultNegativeEntries = 4096
+// negativeEntries bounds the negative cache. At ~300 bytes per entry
+// (key + map overhead) its footprint tops out near a megabyte.
+const negativeEntries = 4096
 
 // negCache remembers confirmed-missing keys as small-TTL tombstones, so
 // a storm of lookups for a key the backend does not have costs one
@@ -41,17 +40,10 @@ type negShard struct {
 	cap  int
 }
 
-func newNegCache(maxEntries int) *negCache {
-	if maxEntries <= 0 {
-		maxEntries = defaultNegativeEntries
-	}
-	perShard := maxEntries / negShards
-	if perShard < 1 {
-		perShard = 1
-	}
+func newNegCache() *negCache {
 	n := &negCache{}
 	for i := range n.shards {
-		n.shards[i] = negShard{m: make(map[string]int64), cap: perShard}
+		n.shards[i] = negShard{m: make(map[string]int64), cap: negativeEntries / negShards}
 	}
 	return n
 }

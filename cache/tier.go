@@ -1,13 +1,11 @@
 // The second-tier seam. cache/tiered.go used to be hard-coupled to
 // internal/flash; Tier generalizes "the layer under DRAM" into a small
 // storage interface so the same demotion/promotion/admission/breaker
-// machinery runs over any backend. Three implementations ship:
+// machinery runs over any backend. Two implementations ship, and
+// Config.SecondTier takes any other:
 //
 //   - "flash"  — the log-structured segment store (internal/flash), the
 //     production tier from the paper's §5.4 flash study.
-//   - "file"   — a simple bucketed file-persist store
-//     (internal/filetier) for small deployments: no segment log, one
-//     append file per key-hash bucket, compacted in place.
 //   - "remote" — a peer s3cached node reached over the pipelined binary
 //     protocol (tier_remote.go): DRAM evictions demote to the peer, DRAM
 //     misses fall through to it.
@@ -41,7 +39,7 @@ var ErrEntryTooLarge = errors.New("cache: entry too large for tier")
 // Delete are lent theirs for the call and must not retain it; Put's key
 // is the tier's to keep.
 type Tier interface {
-	// Kind returns the tier's name ("flash", "file", "remote", ...),
+	// Kind returns the tier's name ("flash", "remote", ...),
 	// surfaced in Stats, /stats and /healthz.
 	Kind() string
 	// Get returns the value and absolute expiry stored for key.

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"s3fifo/internal/flashsim"
 	"s3fifo/internal/ghost"
 	"s3fifo/internal/sketch"
 )
@@ -56,7 +55,7 @@ var admissionFactories = map[string]func(cfg Config) admitter{
 	"prob": func(Config) admitter { return &admitProb{} },
 	"freq": func(Config) admitter { return admitFreq{} },
 	"ghost": func(cfg Config) admitter {
-		sizer := flashsim.GhostSizer{FlashBytes: cfg.FlashBytes}
+		sizer := ghost.Sizer{FlashBytes: cfg.FlashBytes}
 		return &admitGhost{g: ghost.New(sizer.Entries()), sizer: sizer}
 	},
 }
@@ -71,44 +70,16 @@ func Admissions() []string {
 	return names
 }
 
-// tierFactories maps Config.Tier kinds to constructors. Registered here
-// rather than switched inline so Tiers() can enumerate them.
-var tierFactories = map[string]func(cfg Config) (Tier, error){
-	"flash":  newFlashStoreTier,
-	"file":   newFileTier,
-	"remote": newRemoteTier,
-}
-
-// Tiers returns the built-in second-tier kinds, sorted.
-func Tiers() []string {
-	names := make([]string, 0, len(tierFactories))
-	for n := range tierFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // newSecondTier builds the second tier described by cfg, or returns
-// (nil, nil) when none is configured. Selection: Config.SecondTier (an
-// explicit Tier instance) wins; otherwise Config.Tier names a kind, with
-// "" inferring "remote" when TierAddr is set, "flash" when FlashDir is.
+// (nil, nil) when none is configured: Config.SecondTier when set, else
+// the remote tier when TierAddr is, else the flash tier when FlashDir is.
 func newSecondTier(cfg Config) (*secondTier, error) {
-	kind := cfg.Tier
-	if cfg.SecondTier == nil && kind == "" {
-		switch {
-		case cfg.TierAddr != "":
-			kind = "remote"
-		case cfg.FlashDir != "":
-			kind = "flash"
-		default:
-			if cfg.FlashBytes != 0 || cfg.Admission != "" {
-				return nil, fmt.Errorf("cache: FlashBytes/Admission need a second tier (FlashDir, TierAddr, Tier, or SecondTier)")
-			}
-			return nil, nil
+	if cfg.SecondTier == nil && cfg.TierAddr == "" && cfg.FlashDir == "" {
+		if cfg.FlashBytes != 0 || cfg.Admission != "" {
+			return nil, fmt.Errorf("cache: FlashBytes/Admission need a second tier (FlashDir, TierAddr, or SecondTier)")
 		}
+		return nil, nil
 	}
-
 	if cfg.Admission == "" {
 		cfg.Admission = "all"
 	}
@@ -118,42 +89,25 @@ func newSecondTier(cfg Config) (*secondTier, error) {
 			cfg.Admission, Admissions())
 	}
 
-	var tier Tier
+	tier := cfg.SecondTier
+	var err error
 	switch {
-	case cfg.SecondTier != nil:
-		if kind != "" {
-			return nil, fmt.Errorf("cache: SecondTier and Tier are mutually exclusive")
+	case tier != nil:
+	case cfg.TierAddr != "":
+		if cfg.FlashBytes == 0 {
+			// The ghost admission policy sizes its queue from FlashBytes;
+			// for a remote tier it is only that sizing hint, so default it
+			// rather than demand the peer's capacity be known.
+			cfg.FlashBytes = 256 << 20
 		}
-		tier = cfg.SecondTier
+		tier, err = newRemoteTier(cfg)
+	case cfg.FlashBytes == 0:
+		return nil, fmt.Errorf("cache: the flash tier needs FlashBytes")
 	default:
-		mkTier, ok := tierFactories[kind]
-		if !ok {
-			return nil, fmt.Errorf("cache: unknown tier kind %q (have %v)", kind, Tiers())
-		}
-		switch kind {
-		case "flash", "file":
-			if cfg.FlashDir == "" {
-				return nil, fmt.Errorf("cache: tier %q needs FlashDir", kind)
-			}
-			if cfg.FlashBytes == 0 {
-				return nil, fmt.Errorf("cache: tier %q needs FlashBytes", kind)
-			}
-		case "remote":
-			if cfg.TierAddr == "" {
-				return nil, fmt.Errorf("cache: tier \"remote\" needs TierAddr")
-			}
-			if cfg.FlashBytes == 0 {
-				// The ghost admission policy sizes its queue from FlashBytes;
-				// for a remote tier it is only that sizing hint, so default it
-				// rather than demand the peer's capacity be known.
-				cfg.FlashBytes = 256 << 20
-			}
-		}
-		t, err := mkTier(cfg)
-		if err != nil {
-			return nil, err
-		}
-		tier = t
+		tier, err = newFlashStoreTier(cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	br := newBreaker(tier, cfg.FlashBreakerThreshold, cfg.FlashRetryMin, cfg.FlashRetryMax)
@@ -290,13 +244,13 @@ func (admitFreq) admitInsert(uint64, uint32) bool { return false }
 // admitGhost is the paper's small-FIFO filter (§5.4) against a real
 // ghost queue: evictions hit while resident are admitted; the rest are
 // remembered in a ghost FIFO queue sized to one flash generation
-// (flashsim.GhostSizer), and a re-Set while remembered proves reuse and
+// (ghost.Sizer), and a re-Set while remembered proves reuse and
 // writes through. Everything the ghost has forgotten is a one-hit wonder
 // and never touches the second tier.
 type admitGhost struct {
 	mu    sync.Mutex
 	g     *ghost.Queue
-	sizer flashsim.GhostSizer
+	sizer ghost.Sizer
 }
 
 func (a *admitGhost) name() string { return "ghost" }

@@ -24,26 +24,9 @@ func expiredAt(expiresAt, nowNano int64) bool {
 // proactive scanning is unnecessary because expired objects stop
 // receiving hits and therefore age out of any of this repository's
 // policies). A non-positive ttl stores the entry without expiry.
-//
-// With Config.TTLJitter set, the stored deadline is stretched by a
-// deterministic per-key fraction of ttl, de-synchronizing the expiry of
-// keys written together (the thundering-herd precondition). Per-key
-// determinism — not randomness — keeps repeated Sets of one key expiring
-// on a stable schedule instead of jittering anew on every write.
 func (c *Cache) SetWithTTL(key string, value []byte, ttl time.Duration) bool {
 	if ttl <= 0 {
 		return c.Set(key, value)
 	}
-	if c.ttlJitter > 0 {
-		ttl += time.Duration(float64(ttl) * c.ttlJitter * jitterFrac(key))
-	}
 	return c.set(key, value, now().Add(ttl).UnixNano())
-}
-
-// jitterFrac maps a key to a stable fraction in [0, 1). The hash is
-// salted differently from shard selection and policy IDs so the jitter
-// is independent of placement.
-func jitterFrac(key string) float64 {
-	const salt = 0x9E3779B97F4A7C15
-	return float64((hashString(key)^salt)>>11) / (1 << 53)
 }

@@ -455,7 +455,7 @@ func (c *Client) Delete(key string) (bool, error) {
 type ServerStats struct {
 	Engine             string // serving engine: "concurrent" from s3cached, "policy" only from an embedding server
 	NodeID             string // cluster node identity (s3cached -node-id); "" when unset
-	TierKind           string // active second tier ("flash", "file", "remote"); "" when DRAM-only
+	TierKind           string // active second tier ("flash", "remote"); "" when DRAM-only
 	SnapshotAgeSeconds int64  // age of the snapshot last saved or restored; -1 when none
 	Hits               uint64 // DRAMHits + FlashHits
 	Misses             uint64

@@ -20,9 +20,9 @@
 //   - Replicated hot shards. With Replication=R>1, keys the router's
 //     frequency sketch flags as hot are written to R ring owners and
 //     reads load-balance across them. Values are last-writer-wins
-//     versioned (an 8-byte timestamp prefix on the wire); reads repair
-//     replicas observed stale or missing, plus a 1-in-16 full replica
-//     probe. This is eventual consistency — see DESIGN.md §12 for what
+//     versioned (a 16-byte version-and-deadline header on the wire);
+//     reads repair replicas observed stale or missing, plus a 1-in-16
+//     full replica probe. This is eventual consistency — see DESIGN.md §12 for what
 //     that does and does not guarantee.
 package cluster
 
@@ -40,15 +40,16 @@ import (
 	"s3fifo/internal/telemetry"
 )
 
-// Defaults for Options zero values.
+// Defaults for Options zero values, and the router's fixed sizes.
 const (
 	defaultPipeline       = 64
 	defaultHotThreshold   = 8
-	defaultHotTrack       = 4096
-	defaultGhostEntries   = 65536
 	defaultWarmupSamples  = 4096
-	defaultReplicaProbe   = 16 // 1-in-N full replica version check on hot reads
 	defaultStatsKeysLimit = defaultWarmupSamples
+
+	hotTrackEntries = 4096  // width of the hot-key frequency sketch
+	ghostEntries    = 65536 // fingerprints the ghost-of-ghosts remembers
+	replicaProbe    = 16    // 1-in-N full replica version check on hot reads
 )
 
 // Options configures a cluster Client.
@@ -67,40 +68,19 @@ type Options struct {
 	// Replication > 1.
 	HotThreshold int
 
-	// HotTrackEntries sizes the router's frequency sketch. Default 4096.
-	HotTrackEntries int
-
-	// GhostEntries bounds the router's ghost-of-ghosts (fingerprints of
-	// keys lost to node removal/death). Default 65536.
-	GhostEntries int
-
 	// WarmupSamples is how many keys to request from each donor node
 	// when warming a joining node. Default 4096. 0 uses the default;
 	// negative disables warm-up.
 	WarmupSamples int
 
-	// WarmupTTL, when > 0, is applied to every warmed key. The KEYS
-	// export carries no TTL, so without this a warmed copy of an
-	// expiring entry would never expire; a bounded WarmupTTL caps that
-	// staleness.
-	WarmupTTL time.Duration
-
-	// BreakerThreshold is the consecutive-error count that opens a
-	// node's breaker. 0 means the default (3); negative disables the
-	// breaker entirely.
-	BreakerThreshold int
-
-	// RetryMin/RetryMax bound the open-breaker probe backoff.
+	// RetryMin/RetryMax bound the backoff of the probe that retries a
+	// node whose breaker opened (after 3 consecutive errors).
 	RetryMin time.Duration
 	RetryMax time.Duration
 
 	// Client configures the per-node connections. Binary mode is
 	// forced; Pipeline defaults to 64 when unset.
 	Client client.Options
-
-	// Ring configures the consistent-hash ring (virtual nodes, bounded
-	// load ε).
-	Ring hashring.Options
 
 	// Metrics, when non-nil, receives the router's counter and gauge
 	// families.
@@ -113,12 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HotThreshold <= 0 {
 		o.HotThreshold = defaultHotThreshold
-	}
-	if o.HotTrackEntries <= 0 {
-		o.HotTrackEntries = defaultHotTrack
-	}
-	if o.GhostEntries <= 0 {
-		o.GhostEntries = defaultGhostEntries
 	}
 	if o.WarmupSamples == 0 {
 		o.WarmupSamples = defaultWarmupSamples
@@ -177,8 +151,8 @@ func New(opts Options) (*Client, error) {
 	c := &Client{
 		opts:   opts,
 		nodes:  make(map[string]*node),
-		hot:    sketch.NewCountMin(opts.HotTrackEntries),
-		ghosts: ghost.New(opts.GhostEntries),
+		hot:    sketch.NewCountMin(hotTrackEntries),
+		ghosts: ghost.New(ghostEntries),
 	}
 	seen := make(map[string]bool)
 	for _, addr := range opts.Nodes {
@@ -191,7 +165,7 @@ func New(opts Options) (*Client, error) {
 		seen[addr] = true
 		c.nodes[addr] = c.newMember(addr)
 	}
-	c.ring.Store(hashring.New(opts.Nodes, opts.Ring))
+	c.ring.Store(hashring.New(opts.Nodes, hashring.Options{}))
 	c.registerGlobalMetrics()
 	for addr := range c.nodes {
 		c.registerNodeMetrics(addr)
@@ -200,7 +174,7 @@ func New(opts Options) (*Client, error) {
 }
 
 func (c *Client) newMember(addr string) *node {
-	return newNode(addr, c.opts.Client, c.opts.BreakerThreshold, c.opts.RetryMin, c.opts.RetryMax)
+	return newNode(addr, c.opts.Client, c.opts.RetryMin, c.opts.RetryMax)
 }
 
 func (c *Client) nodeByAddr(addr string) *node {
@@ -265,26 +239,56 @@ func (c *Client) ghostLen() int {
 
 // --- versioned values (replication wire format) ---------------------
 
-// With Replication > 1 every stored value carries an 8-byte big-endian
-// version prefix (the writer's UnixNano clock) so replicas can be
-// ordered: last writer wins. Reads strip the prefix; repairs copy the
-// raw wire bytes so the version travels with the value.
+// With Replication > 1 every stored value carries a 16-byte big-endian
+// header: a version (the writer's UnixNano clock), so replicas can be
+// ordered, last writer wins; and the write's absolute deadline (UnixNano,
+// 0 = no TTL), so a copy made later expires with the write it copies.
+// Reads strip the header; repairs copy the raw wire bytes so the version
+// travels with the value.
 
-func encodeVersion(ver uint64, value []byte) []byte {
-	wire := make([]byte, 8+len(value))
+const headerLen = 16
+
+func encodeVersion(ver uint64, deadline int64, value []byte) []byte {
+	wire := make([]byte, headerLen+len(value))
 	binary.BigEndian.PutUint64(wire, ver)
-	copy(wire[8:], value)
+	binary.BigEndian.PutUint64(wire[8:], uint64(deadline))
+	copy(wire[headerLen:], value)
 	return wire
 }
 
-// decodeVersion splits a wire value into (version, payload). A short
-// value (written before replication was enabled, or by a non-cluster
-// client) decodes as version 0 — older than any versioned write.
-func decodeVersion(wire []byte) (uint64, []byte) {
-	if len(wire) < 8 {
-		return 0, wire
+// stamp versions a write of value made now with the given TTL.
+func stamp(value []byte, ttl time.Duration) []byte {
+	now := time.Now()
+	var deadline int64
+	if ttl > 0 {
+		deadline = now.Add(ttl).UnixNano()
 	}
-	return binary.BigEndian.Uint64(wire), wire[8:]
+	return encodeVersion(uint64(now.UnixNano()), deadline, value)
+}
+
+// decodeVersion splits a wire value into (version, deadline, payload). A
+// short value (written before replication was enabled, or by a
+// non-cluster client) decodes as version 0, older than any versioned
+// write, with no deadline.
+func decodeVersion(wire []byte) (ver uint64, deadline int64, value []byte) {
+	if len(wire) < headerLen {
+		return 0, 0, wire
+	}
+	return binary.BigEndian.Uint64(wire), int64(binary.BigEndian.Uint64(wire[8:])), wire[headerLen:]
+}
+
+// copyTTL is the TTL a copy of a versioned wire value written now must
+// carry: what is left of the original write's TTL, rounded down to whole
+// seconds because the wire carries whole seconds and the client rounds a
+// TTL up. ok is false when under a second is left, and the copy should
+// not be made: it would outlive the write it copies.
+func copyTTL(wire []byte) (ttl time.Duration, ok bool) {
+	_, deadline, _ := decodeVersion(wire)
+	if deadline == 0 {
+		return 0, true
+	}
+	ttl = time.Duration(deadline - time.Now().UnixNano()).Truncate(time.Second)
+	return ttl, ttl >= time.Second
 }
 
 // --- operations -----------------------------------------------------
@@ -328,7 +332,7 @@ func (c *Client) getSimple(ring *hashring.Ring, h uint64, key string) ([]byte, b
 				return c.miss(h, false)
 			}
 			if c.opts.Replication > 1 {
-				_, v := decodeVersion(wire)
+				_, _, v := decodeVersion(wire)
 				return v, true, nil
 			}
 			return wire, true, nil
@@ -352,7 +356,7 @@ type replicaRead struct {
 func (c *Client) getReplicated(ring *hashring.Ring, h uint64, key string, r int) ([]byte, bool, error) {
 	owners := ring.OwnersHash(h, r)
 	start := int(c.rr.Add(1)) % len(owners)
-	probeAll := c.repairTick.Add(1)%defaultReplicaProbe == 0
+	probeAll := c.repairTick.Add(1)%replicaProbe == 0
 	var (
 		reads       []replicaRead
 		unavailable bool
@@ -372,7 +376,7 @@ func (c *Client) getReplicated(ring *hashring.Ring, h uint64, key string, r int)
 			reads = append(reads, replicaRead{n: n})
 			continue
 		}
-		ver, _ := decodeVersion(wire)
+		ver, _, _ := decodeVersion(wire)
 		reads = append(reads, replicaRead{n: n, wire: wire, ver: ver, hit: true})
 		if !probeAll {
 			break
@@ -388,17 +392,22 @@ func (c *Client) getReplicated(ring *hashring.Ring, h uint64, key string, r int)
 		return c.miss(h, unavailable)
 	}
 	// Read-repair: every probed replica that missed, or that answered
-	// with an older version, gets the winning raw bytes (version prefix
-	// and all). Best effort — a failed repair is just a future repair.
+	// with an older version, gets the winning raw bytes (header and all)
+	// with what is left of the winner's TTL. Best effort — a failed
+	// repair is just a future repair.
 	for i, rd := range reads {
 		if i == best || (rd.hit && rd.ver >= reads[best].ver) {
 			continue
 		}
-		if _, err := rd.n.set(key, reads[best].wire, c.opts.WarmupTTL); err == nil {
+		ttl, ok := copyTTL(reads[best].wire)
+		if !ok {
+			break
+		}
+		if _, err := rd.n.set(key, reads[best].wire, ttl); err == nil {
 			c.readRepairs.Add(1)
 		}
 	}
-	_, v := decodeVersion(reads[best].wire)
+	_, _, v := decodeVersion(reads[best].wire)
 	return v, true, nil
 }
 
@@ -441,7 +450,7 @@ func (c *Client) SetWithTTL(key string, value []byte, ttl time.Duration) (bool, 
 		// ALL writes are versioned once replication is on — cold keys
 		// too — so a key crossing the hot threshold later compares
 		// correctly against copies written while it was cold.
-		wire = encodeVersion(uint64(time.Now().UnixNano()), value)
+		wire = stamp(value, ttl)
 	}
 	r := c.replicaCount(c.isHot(h))
 	owners := ring.OwnersHash(h, r)

@@ -265,19 +265,19 @@ func TestBreakerRestoresAfterRestart(t *testing.T) {
 }
 
 // TestVersionCodec: the LWW wire format round-trips, and unversioned
-// values decode as version 0.
+// values decode as version 0 without a deadline.
 func TestVersionCodec(t *testing.T) {
-	ver, val := decodeVersion(encodeVersion(42, []byte("hello")))
-	if ver != 42 || string(val) != "hello" {
-		t.Fatalf("roundtrip = %d, %q", ver, val)
+	ver, dl, val := decodeVersion(encodeVersion(42, 99, []byte("hello")))
+	if ver != 42 || dl != 99 || string(val) != "hello" {
+		t.Fatalf("roundtrip = %d, %d, %q", ver, dl, val)
 	}
-	ver, val = decodeVersion(encodeVersion(7, nil))
-	if ver != 7 || len(val) != 0 {
-		t.Fatalf("empty roundtrip = %d, %q", ver, val)
+	ver, dl, val = decodeVersion(encodeVersion(7, 0, nil))
+	if ver != 7 || dl != 0 || len(val) != 0 {
+		t.Fatalf("empty roundtrip = %d, %d, %q", ver, dl, val)
 	}
-	ver, val = decodeVersion([]byte("short"))
-	if ver != 0 || string(val) != "short" {
-		t.Fatalf("legacy value = %d, %q", ver, val)
+	ver, dl, val = decodeVersion([]byte("short"))
+	if ver != 0 || dl != 0 || string(val) != "short" {
+		t.Fatalf("legacy value = %d, %d, %q", ver, dl, val)
 	}
 }
 
@@ -313,7 +313,7 @@ func TestHotKeyReplicates(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("owner %s missing hot key: %v, %v", addr, ok, err)
 		}
-		ver, val := decodeVersion(wire)
+		ver, _, val := decodeVersion(wire)
 		if ver == 0 || string(val) != "v2" {
 			t.Fatalf("owner %s copy = ver %d, %q", addr, ver, val)
 		}
@@ -371,7 +371,7 @@ func TestReadRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ok {
-			if _, val := decodeVersion(wire); string(val) != "v2" {
+			if _, _, val := decodeVersion(wire); string(val) != "v2" {
 				t.Fatalf("repaired copy = %q, want v2", val)
 			}
 			break
@@ -383,6 +383,49 @@ func TestReadRepair(t *testing.T) {
 	direct.Close()
 	if c.Stats().ReadRepairs == 0 {
 		t.Error("read repairs not counted")
+	}
+}
+
+// TestReadRepairKeepsTTL: a replica repaired from a TTL'd write expires
+// with that write. A repaired copy written without a TTL would serve the
+// key forever after both originals expired.
+func TestReadRepairKeepsTTL(t *testing.T) {
+	c, _ := startCluster(t, 3, func(o *Options) {
+		o.Replication = 2
+		o.HotThreshold = 2
+	})
+	const hot = "ttl-repair"
+	if ok, err := c.Set(hot, []byte("v1")); err != nil || !ok {
+		t.Fatalf("Set = %v, %v", ok, err)
+	}
+	for i := 0; i < 8; i++ {
+		c.Get(hot)
+	}
+	if ok, err := c.SetWithTTL(hot, []byte("v2"), 2*time.Second); err != nil || !ok {
+		t.Fatalf("SetWithTTL = %v, %v", ok, err)
+	}
+	written := time.Now()
+	direct, err := client.DialOptions(c.Ring().Owners(hot, 2)[1], client.Options{Binary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if ok, err := direct.Delete(hot); err != nil || !ok {
+		t.Fatalf("direct delete = %v, %v", ok, err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := c.Get(hot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Stats().ReadRepairs == 0 {
+		t.Fatal("no read repair ran")
+	}
+	time.Sleep(time.Until(written.Add(2500 * time.Millisecond)))
+	for i := 0; i < 50; i++ {
+		if v, ok, err := c.Get(hot); err != nil || ok {
+			t.Fatalf("read %d after the TTL = %q, %v, %v; want a miss", i, v, ok, err)
+		}
 	}
 }
 
@@ -469,6 +512,33 @@ func TestAddNodeWarmup(t *testing.T) {
 		v, ok, err := c.Get(k)
 		if err != nil || !ok || string(v) != "v-"+k {
 			t.Fatalf("warmed key %s = %q, %v, %v", k, v, ok, err)
+		}
+	}
+}
+
+// TestAddNodeWarmupKeepsTTL: warm-up never gives a joining node a copy
+// that outlives its original. The KEYS export carries no TTL, so a warmed
+// copy of a TTL'd key would serve it forever.
+func TestAddNodeWarmupKeepsTTL(t *testing.T) {
+	c, _ := startCluster(t, 2, nil)
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("tk-%d", i)
+		if ok, err := c.SetWithTTL(k, []byte("v-"+k), time.Second); err != nil || !ok {
+			t.Fatalf("SetWithTTL = %v, %v", ok, err)
+		}
+	}
+	written := time.Now()
+	joiner := startTestNode(t)
+	if err := c.AddNode(joiner.addr); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Until(written.Add(1500 * time.Millisecond)))
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("tk-%d", i)
+		if v, ok, err := c.Get(k); err != nil || ok {
+			t.Fatalf("%s after its TTL (owner %s) = %q, %v, %v; want a miss",
+				k, c.Ring().Lookup(k), v, ok, err)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func (c *Client) SetX(key string, lease uint64, value []byte, ttl time.Duration)
 	}
 	wire := value
 	if c.opts.Replication > 1 {
-		wire = encodeVersion(uint64(time.Now().UnixNano()), value)
+		wire = stamp(value, ttl)
 	}
 	stored, err := n.setx(key, lease, wire, ttl)
 	if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"time"
 
 	"s3fifo/internal/hashring"
 )
@@ -17,17 +18,18 @@ import (
 //     Donors export their resident keys hottest-first (the engines'
 //     S3-FIFO frequency counters drive the order); every sampled key
 //     whose owner set under the NEW ring includes the newcomer is
-//     copied in, raw bytes, so version prefixes survive. Until the
+//     copied in, raw bytes, so version headers survive. Until the
 //     swap, all traffic still routes to the old owners — the newcomer
 //     fills up invisibly.
 //  3. Swap the ring. The newcomer starts serving a slice it already
 //     holds the hot end of, so the hit ratio steps down briefly
 //     instead of cratering to zero.
 //
-// The KEYS export carries frequencies but not TTLs: warmed copies of
-// expiring entries would outlive their originals. Options.WarmupTTL
-// bounds that staleness; entries the donor expires are simply absent
-// from the export.
+// The KEYS export carries frequencies but not TTLs, so it leaves out
+// every entry that has one: a warmed copy of it would outlive its
+// original. With Replication > 1 the wire header carries the deadline,
+// and a key given a TTL after it was sampled is copied with what is left
+// of it.
 func (c *Client) AddNode(addr string) error {
 	if addr == "" {
 		return errors.New("cluster: empty node address")
@@ -45,7 +47,7 @@ func (c *Client) AddNode(addr string) error {
 
 	oldRing := c.ring.Load()
 	if oldRing == nil {
-		oldRing = hashring.New(nil, c.opts.Ring)
+		oldRing = hashring.New(nil, hashring.Options{})
 	}
 	newRing := oldRing.Add(addr)
 
@@ -93,7 +95,13 @@ func (c *Client) warmUp(dst *node, oldRing, newRing *hashring.Ring) {
 			if err != nil || !ok {
 				continue
 			}
-			if stored, err := dst.set(s.Key, wire, c.opts.WarmupTTL); err == nil && stored {
+			var ttl time.Duration
+			if c.opts.Replication > 1 {
+				if ttl, ok = copyTTL(wire); !ok {
+					continue
+				}
+			}
+			if stored, err := dst.set(s.Key, wire, ttl); err == nil && stored {
 				c.warmedKeys.Add(1)
 				// A key coming back that the ghost queue wrote off as
 				// lost is recovered — stop predicting misses for it.

@@ -12,9 +12,9 @@ import (
 // (cache/breaker.go): trip after a short run of consecutive errors,
 // probe with exponential backoff until the node answers again.
 const (
-	defaultBreakerThreshold = 3
-	defaultRetryMin         = 100 * time.Millisecond
-	defaultRetryMax         = 30 * time.Second
+	breakerThreshold = 3
+	defaultRetryMin  = 100 * time.Millisecond
+	defaultRetryMax  = 30 * time.Second
 )
 
 // node is the router's handle on one s3cached process: a pipelined
@@ -25,11 +25,10 @@ const (
 // writes are dropped and counted — and a background prober pings until
 // the node answers, then closes the circuit.
 type node struct {
-	addr      string
-	copts     client.Options
-	threshold uint64 // consecutive errors that trip the breaker (0 = never)
-	retryMin  time.Duration
-	retryMax  time.Duration
+	addr     string
+	copts    client.Options
+	retryMin time.Duration
+	retryMax time.Duration
 
 	mu sync.Mutex
 	c  *client.Client // nil until the first successful dial
@@ -53,19 +52,13 @@ type node struct {
 	restores     atomic.Uint64
 }
 
-func newNode(addr string, copts client.Options, threshold int, retryMin, retryMax time.Duration) *node {
+func newNode(addr string, copts client.Options, retryMin, retryMax time.Duration) *node {
 	n := &node{
 		addr:     addr,
 		copts:    copts,
 		retryMin: retryMin,
 		retryMax: retryMax,
 		stop:     make(chan struct{}),
-	}
-	if threshold == 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if threshold > 0 {
-		n.threshold = uint64(threshold)
 	}
 	if n.retryMin <= 0 {
 		n.retryMin = defaultRetryMin
@@ -119,10 +112,10 @@ func (n *node) note(err error) {
 		return
 	}
 	n.errors.Add(1)
-	if n.threshold == 0 || n.open.Load() {
+	if n.open.Load() {
 		return
 	}
-	if n.consecutive.Add(1) >= n.threshold {
+	if n.consecutive.Add(1) >= breakerThreshold {
 		n.trip()
 	}
 }

@@ -17,10 +17,9 @@
 // many consecutive flash I/O errors degrade the cache to DRAM-only
 // serving (0 disables; see DESIGN.md §10).
 //
-// The second tier is pluggable (-tier flash|file|remote; see DESIGN.md
-// §13): -flash-dir names the flash or file tier's directory, -tier-addr
-// points the remote tier at a peer s3cached. Unset, -tier is inferred
-// (-tier-addr selects remote, -flash-dir selects flash). -snapshot-path
+// The second tier (DESIGN.md §13) follows from its flags: -tier-addr
+// points the remote tier at a peer s3cached, else -flash-dir names the
+// flash tier's directory, else there is none. -snapshot-path
 // enables warm restarts: the full eviction-metadata snapshot (queue
 // membership, frequencies, ghost state) is saved there on SIGINT/SIGTERM
 // and restored at the next boot, so a restarted server resumes at its
@@ -33,9 +32,8 @@
 // The server speaks two wire protocols on the same port, detected
 // per connection from the first byte: the newline-framed text protocol
 // (with a memcached-compatible dialect) and a length-prefixed binary
-// protocol built for client-side pipelining (DESIGN.md §11). -proto
-// pins the accepted protocol to "text" or "binary"; the default "auto"
-// takes both. The Go client lives in s3fifo/client; pass
+// protocol built for client-side pipelining (DESIGN.md §11). The Go
+// client lives in s3fifo/client; pass
 // client.Options{Pipeline: n} for the pipelined binary mode. Example
 // text session (via nc):
 //
@@ -74,9 +72,7 @@ func main() {
 	shards := flag.Int("shards", 16, "cache shards")
 	flashDir := flag.String("flash-dir", "", "directory for the flash tier's segment files (enables the tier)")
 	flashBytes := flag.Uint64("flash-bytes", 0, "flash tier capacity in bytes (required with -flash-dir)")
-	tier := flag.String("tier", "",
-		"second-tier kind: "+strings.Join(cache.Tiers(), ", ")+" (default inferred: -tier-addr selects remote, -flash-dir selects flash)")
-	tierAddr := flag.String("tier-addr", "", "peer s3cached address for the remote tier (enables it)")
+	tierAddr := flag.String("tier-addr", "", "peer s3cached address for the remote tier (enables it, in place of -flash-dir)")
 	snapshotPath := flag.String("snapshot-path", "",
 		"metadata snapshot file: loaded at boot if present (warm restart), saved on SIGINT/SIGTERM")
 	admission := flag.String("admission", "",
@@ -85,12 +81,9 @@ func main() {
 		"consecutive flash I/O errors before degrading to DRAM-only serving (0 disables the breaker)")
 	maxConns := flag.Int("max-conns", 0, "max simultaneous client connections (0 = unlimited)")
 	connTimeout := flag.Duration("conn-timeout", 0, "per-connection idle/write deadline (0 disables)")
-	protoMode := flag.String("proto", "auto",
-		"wire protocols to accept: auto (per-connection detection), text, binary")
 	nodeID := flag.String("node-id", "",
 		"cluster node identity surfaced in stats, /stats, and /healthz (default: the listen address)")
 	slowOp := flag.Duration("slow-op", 0, "log cache operations at or above this duration (0 disables; times every op)")
-	ttlJitter := flag.Float64("ttl-jitter", 0, "per-key TTL spread fraction in [0,1] (0.05 = up to +5%); desynchronizes mass expiry")
 	antiStampede := flag.Bool("anti-stampede", false, "enable miss coalescing and GETX/SETX leases")
 	coalesceWait := flag.Duration("coalesce-wait", 0, "max time a coalesced GET miss waits on the in-flight fill (0 = 50ms default)")
 	grace := flag.Duration("grace", 0, "stale-while-revalidate window for getx (0 disables stale serving)")
@@ -126,7 +119,6 @@ func main() {
 		MaxBytes:              *maxBytes,
 		Engine:                *engine,
 		Shards:                *shards,
-		Tier:                  *tier,
 		TierAddr:              *tierAddr,
 		FlashDir:              *flashDir,
 		FlashBytes:            *flashBytes,
@@ -135,7 +127,6 @@ func main() {
 		Metrics:               reg,
 		SlowOpThreshold:       *slowOp,
 		SlowOpLog:             slowLog,
-		TTLJitter:             *ttlJitter,
 	}
 	// Warm restart: restore the previous process's metadata snapshot when
 	// one exists. A missing file is the normal first boot; a corrupt one
@@ -162,7 +153,6 @@ func main() {
 	srvOpts := []server.Option{
 		server.WithMaxConns(*maxConns),
 		server.WithConnTimeout(*connTimeout),
-		server.WithProtocol(*protoMode),
 		server.WithNodeID(*nodeID),
 	}
 	if *antiStampede {

@@ -35,8 +35,6 @@ type KVConfig struct {
 	// capped at 64). <= 0 picks a default from GOMAXPROCS, shrunk until
 	// every shard holds a meaningful byte budget.
 	Shards int
-	// SmallRatio is the small-queue fraction of each shard (default 0.10).
-	SmallRatio float64
 	// Now returns the current time in unix nanoseconds; nil uses the real
 	// clock. Indirected so the cache facade's fake-clock tests drive TTL.
 	Now func() int64
@@ -65,7 +63,7 @@ const minShardBytes = 4096
 // NewKV returns a concurrent string-keyed S3-FIFO.
 func NewKV(cfg KVConfig) *KV {
 	kv := &KV{}
-	kv.init(max(cfg.MaxBytes, 1), cfg.Shards, minShardBytes, cfg.SmallRatio, func(shardCap uint64) shardTuning {
+	kv.init(max(cfg.MaxBytes, 1), cfg.Shards, minShardBytes, func(shardCap uint64) shardTuning {
 		return shardTuning{evictSlack: shardCap / 64, sweepAt: 64, ghostEntries: 16}
 	})
 	if cfg.Now != nil {
@@ -203,9 +201,10 @@ type KeySample struct {
 	Freq int
 }
 
-// Sample returns up to limit resident, unexpired keys ordered by
+// Sample returns up to limit resident keys without a TTL, ordered by
 // descending frequency — the node's best guess at its hot working set,
-// exported to cluster warm-up via the KEYS command. To bound the cost on
+// exported to cluster warm-up via the KEYS command, which carries no TTL
+// (a warmed copy of a TTL'd key would outlive it). To bound the cost on
 // large caches the walk stops after scanning 8×limit entries; the index
 // walk order is hash order, so the scanned prefix is an unbiased sample
 // and sorting it surfaces the hot keys that matter. Scrape-time only.
@@ -215,16 +214,12 @@ func (c *KV) Sample(limit int) []KeySample {
 	}
 	scanBudget := limit * 8
 	out := make([]KeySample, 0, limit)
-	nowNanos := c.now()
 	c.index.forEach(func(e *entry[string]) bool {
 		if scanBudget <= 0 {
 			return false
 		}
 		scanBudget--
-		if e.dead.Load() {
-			return true
-		}
-		if exp := e.expires.Load(); exp != 0 && nowNanos > exp {
+		if e.dead.Load() || e.expires.Load() != 0 {
 			return true
 		}
 		out = append(out, KeySample{Key: e.key, Freq: int(e.freq.Load())})

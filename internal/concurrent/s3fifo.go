@@ -30,7 +30,7 @@ func NewS3FIFO(capacity int) *S3FIFO { return NewS3FIFOSharded(capacity, 0) }
 // minShardCapacity objects.
 func NewS3FIFOSharded(capacity, shards int) *S3FIFO {
 	c := &S3FIFO{}
-	c.init(uint64(max(capacity, 0)), shards, minShardCapacity, 0.10, func(shardCap uint64) shardTuning {
+	c.init(uint64(max(capacity, 0)), shards, minShardCapacity, func(shardCap uint64) shardTuning {
 		batch := max(min(evictBatchMax, (shardCap+3)/4), 1)
 		return shardTuning{
 			// The incoming object is one unit of the batch.

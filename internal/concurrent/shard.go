@@ -236,6 +236,10 @@ func (q *ring[K]) sweep() {
 const (
 	ccMaxFreq = 3
 
+	// smallRatio is the small queue's share of each shard: the paper's
+	// fixed 10 %, which §6.2 shows needs no tuning.
+	smallRatio = 0.10
+
 	// maxShards bounds the shard count (matches the index shard count).
 	maxShards = 64
 
@@ -248,7 +252,7 @@ const (
 // capped at maxShards; <= 0 picks a default from GOMAXPROCS, shrunk until
 // every shard holds at least minShard. tune gives each shard's
 // front-specific numbers from its capacity.
-func (m *machine[K]) init(capacity uint64, shards int, minShard uint64, smallRatio float64, tune func(shardCapacity uint64) shardTuning) {
+func (m *machine[K]) init(capacity uint64, shards int, minShard uint64, tune func(shardCapacity uint64) shardTuning) {
 	n := shards
 	if n <= 0 {
 		n = max(runtime.GOMAXPROCS(0), 8)
@@ -265,9 +269,6 @@ func (m *machine[K]) init(capacity uint64, shards int, minShard uint64, smallRat
 	}
 	for n > 1 && capacity/uint64(n) < 1 {
 		n >>= 1
-	}
-	if smallRatio <= 0 || smallRatio >= 1 {
-		smallRatio = 0.10
 	}
 	m.capacity = capacity
 	m.index = newShardedIndex[entry[K]]()

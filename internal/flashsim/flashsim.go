@@ -27,6 +27,7 @@ package flashsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"s3fifo/internal/ghost"
 	"s3fifo/internal/list"
@@ -217,13 +218,7 @@ type flashieldAdmitter struct {
 
 func newFlashieldAdmitter(dramBytes, flashBytes uint64) *flashieldAdmitter {
 	// Feedback windows track roughly one flash generation of objects.
-	window := int(flashBytes / (32 << 10))
-	if window < 64 {
-		window = 64
-	}
-	if window > 1<<18 {
-		window = 1 << 18
-	}
+	window := (&ghost.Sizer{FlashBytes: flashBytes}).Entries()
 	a := &flashieldAdmitter{
 		dram:         policy.NewLRU(dramBytes),
 		reads:        make(map[uint64]float64),
@@ -309,68 +304,32 @@ func (a *flashieldAdmitter) insert(key uint64, size uint32, write func(uint64, u
 }
 
 // gc bounds the feature maps; expired ghost entries train as confirmed
-// negatives (admitted but never read) or true negatives (declined and
-// never re-requested).
+// negatives: admitted but never read (a wasted write), or declined and
+// never re-requested (a correct call).
 func (a *flashieldAdmitter) gc() {
-	if len(a.admittedFeat) > 4*a.admitted.Capacity() {
-		for k, f := range a.admittedFeat {
-			if !a.admitted.Contains(k) {
-				a.train(f, 0) // written but never read: wasted write
-				delete(a.admittedFeat, k)
-			}
-		}
-	}
-	if len(a.declinedFeat) > 4*a.declined.Capacity() {
-		for k, f := range a.declinedFeat {
-			if !a.declined.Contains(k) {
-				a.train(f, 0) // declined and never re-requested: correct call
-				delete(a.declinedFeat, k)
-			}
-		}
-	}
+	a.trainExpired(a.admittedFeat, a.admitted)
+	a.trainExpired(a.declinedFeat, a.declined)
 }
 
-// GhostSizer estimates how many ghost entries cover one flash generation
-// of objects: flash bytes divided by the running mean object size. Both
-// the simulator's small-FIFO admitter and the real tiered cache's
-// ghost-hit admission (cache/tiered.go) size their ghost queues with it.
-type GhostSizer struct {
-	// FlashBytes is the flash-tier capacity the ghost should mirror.
-	FlashBytes uint64
-	sizeSum    uint64
-	sizeN      uint64
-}
-
-// Observe records one object size and returns the refreshed capacity
-// estimate. resized is true every 1024 observations, when the estimate
-// has been recomputed and the caller should Resize its ghost queue.
-func (z *GhostSizer) Observe(size uint32) (entries int, resized bool) {
-	z.sizeSum += uint64(size)
-	z.sizeN++
-	if z.sizeN%1024 != 0 {
-		return 0, false
+// trainExpired trains a negative example for, and forgets, every key of
+// feat that window no longer holds, once feat outgrows four windows. The
+// keys train in sorted order: the SGD is order-dependent, and map order
+// would make every run's model, and so its writes, differ.
+func (a *flashieldAdmitter) trainExpired(feat map[uint64]float64, window *ghost.Queue) {
+	if len(feat) <= 4*window.Capacity() {
+		return
 	}
-	return z.Entries(), true
-}
-
-// Entries returns the current capacity estimate (one flash generation of
-// mean-sized objects, clamped to [64, 2^20]).
-func (z *GhostSizer) Entries() int {
-	mean := uint64(32 << 10) // prior before any observations
-	if z.sizeN > 0 {
-		mean = z.sizeSum / z.sizeN
-		if mean == 0 {
-			mean = 1
+	var expired []uint64
+	for k := range feat {
+		if !window.Contains(k) {
+			expired = append(expired, k)
 		}
 	}
-	entries := int(z.FlashBytes / mean)
-	if entries < 64 {
-		entries = 64
+	slices.Sort(expired)
+	for _, k := range expired {
+		a.train(feat[k], 0)
+		delete(feat, k)
 	}
-	if entries > 1<<20 {
-		entries = 1 << 20
-	}
-	return entries
 }
 
 // smallFIFOAdmitter: the paper's design. S (DRAM) is a plain FIFO with
@@ -384,7 +343,7 @@ type smallFIFOAdmitter struct {
 	used  uint64
 	g     *ghost.Queue
 	write func(uint64, uint32)
-	sizer GhostSizer
+	sizer ghost.Sizer
 }
 
 func newSmallFIFOAdmitter(dramBytes, flashBytes uint64) *smallFIFOAdmitter {
@@ -392,21 +351,15 @@ func newSmallFIFOAdmitter(dramBytes, flashBytes uint64) *smallFIFOAdmitter {
 		dramBytes = 1
 	}
 	// G holds as many ghost entries as the flash (the "main queue") holds
-	// objects, per §4.1; sizes vary, so estimate with a 32 KiB mean and
-	// refine dynamically as objects are observed.
-	entries := int(flashBytes / (32 << 10))
-	if entries < 64 {
-		entries = 64
-	}
-	if entries > 1<<18 {
-		entries = 1 << 18
-	}
+	// objects, per §4.1; sizes vary, so the sizer starts from a 32 KiB
+	// mean and refines it as objects are observed.
+	sizer := ghost.Sizer{FlashBytes: flashBytes}
 	return &smallFIFOAdmitter{
 		queue: list.New(),
 		index: make(map[uint64]*list.Node),
 		cap:   dramBytes,
-		g:     ghost.New(entries),
-		sizer: GhostSizer{FlashBytes: flashBytes},
+		g:     ghost.New(sizer.Entries()),
+		sizer: sizer,
 	}
 }
 

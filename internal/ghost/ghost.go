@@ -261,3 +261,37 @@ func (q *Queue) Len() int {
 	}
 	return n
 }
+
+// Sizer estimates how many ghost entries cover one flash generation of
+// objects: flash bytes divided by the running mean object size. The
+// simulator's flash admitters (internal/flashsim) and the real tiered
+// cache's ghost admission (cache/tiered.go) size their queues with it.
+type Sizer struct {
+	// FlashBytes is the flash-tier capacity the ghost should mirror.
+	FlashBytes uint64
+	sizeSum    uint64
+	sizeN      uint64
+}
+
+// Observe records one object size and returns the refreshed capacity
+// estimate. resized is true every 1024 observations, when the estimate
+// has been recomputed and the caller should Resize its ghost queue.
+func (z *Sizer) Observe(size uint32) (entries int, resized bool) {
+	z.sizeSum += uint64(size)
+	z.sizeN++
+	if z.sizeN%1024 != 0 {
+		return 0, false
+	}
+	return z.Entries(), true
+}
+
+// Entries returns the current capacity estimate: one flash generation of
+// mean-sized objects, with a 32 KiB mean before any observation, clamped
+// to [64, 2^20].
+func (z *Sizer) Entries() int {
+	mean := uint64(32 << 10)
+	if z.sizeN > 0 {
+		mean = max(z.sizeSum/z.sizeN, 1)
+	}
+	return int(min(max(z.FlashBytes/mean, 64), 1<<20))
+}

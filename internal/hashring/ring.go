@@ -26,22 +26,18 @@ import (
 	"s3fifo/internal/sketch"
 )
 
-// Defaults for Options zero values.
 const (
-	// DefaultVirtualNodes is the points-per-node default. 128 points
-	// keeps the pre-balance imbalance small enough that the bounded-load
-	// pass moves only a few arcs.
-	DefaultVirtualNodes = 128
+	// virtualNodes is the number of points each node contributes. 128
+	// points keeps the pre-balance imbalance small enough that the
+	// bounded-load pass moves only a few arcs.
+	virtualNodes = 128
 	// DefaultEpsilon is the bounded-load slack: no node owns more than
 	// (1+ε)/N of the hash space.
 	DefaultEpsilon = 0.25
 )
 
-// Options tunes ring construction. The zero value gives 128 virtual
-// nodes per node and ε = 0.25.
+// Options tunes ring construction. The zero value gives ε = 0.25.
 type Options struct {
-	// VirtualNodes is the number of points each node contributes.
-	VirtualNodes int
 	// Epsilon is the bounded-load slack: a node's owned fraction of the
 	// hash space is capped at (1+Epsilon)/N. Zero means the default;
 	// negative disables the bound (plain consistent hashing).
@@ -49,9 +45,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
-	}
 	if o.Epsilon == 0 {
 		o.Epsilon = DefaultEpsilon
 	}
@@ -106,9 +99,9 @@ func (r *Ring) build() {
 		r.points = nil
 		return
 	}
-	r.points = make([]point, 0, n*r.opts.VirtualNodes)
+	r.points = make([]point, 0, n*virtualNodes)
 	for i, node := range r.nodes {
-		for v := 0; v < r.opts.VirtualNodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := sketch.Hash(hashString(node), uint64(v)+1)
 			r.points = append(r.points, point{hash: h, node: int32(i)})
 		}

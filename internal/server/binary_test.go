@@ -226,45 +226,6 @@ func TestPipelinedClientSurvivesServerRestart(t *testing.T) {
 	}
 }
 
-// TestWithProtocolPinning: "text" rejects binary openers, "binary"
-// rejects text openers.
-func TestWithProtocolPinning(t *testing.T) {
-	t.Run("text-only", func(t *testing.T) {
-		addr, _ := startServerOpts(t, cache.Config{}, WithProtocol("text"))
-		if _, err := client.DialOptions(addr, client.Options{Binary: true, Retries: 0}); err == nil {
-			// Dial itself doesn't send bytes; the first op must fail.
-			c, _ := client.DialOptions(addr, client.Options{Binary: true, Retries: 0})
-			if c != nil {
-				if _, _, err := c.Get("k"); err == nil {
-					t.Fatal("binary Get succeeded against a text-only server")
-				}
-				c.Close()
-			}
-		}
-		c := dial(t, addr)
-		if ok, err := c.Set("k", []byte("v")); err != nil || !ok {
-			t.Fatalf("text Set on text-only server = %v, %v", ok, err)
-		}
-	})
-	t.Run("binary-only", func(t *testing.T) {
-		addr, _ := startServerOpts(t, cache.Config{}, WithProtocol("binary"))
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		fmt.Fprintf(conn, "get k\r\n")
-		line, err := bufio.NewReader(conn).ReadString('\n')
-		if err != nil || !strings.HasPrefix(line, "ERROR") {
-			t.Fatalf("text command on binary-only server = %q, %v; want ERROR", line, err)
-		}
-		c := dialBinary(t, addr, client.Options{Binary: true})
-		if ok, err := c.Set("k", []byte("v")); err != nil || !ok {
-			t.Fatalf("binary Set on binary-only server = %v, %v", ok, err)
-		}
-	})
-}
-
 // TestBadFramesAreFatal: framing damage earns one error frame, then the
 // connection closes. The stream is not resynchronized.
 func TestBadFramesAreFatal(t *testing.T) {

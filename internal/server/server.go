@@ -79,7 +79,6 @@ type Server struct {
 	// Hardening knobs, fixed at construction (see Options).
 	maxConns    int
 	connTimeout time.Duration
-	protoMode   string // "" or "auto", "text", "binary" (see WithProtocol)
 	nodeID      string // cluster identity label; "" = unset (see WithNodeID)
 
 	// Anti-stampede machinery (see WithAntiStampede); co is nil when the
@@ -171,14 +170,6 @@ func WithMaxConns(n int) Option {
 // response flush. d <= 0 means no deadlines (the default).
 func WithConnTimeout(d time.Duration) Option {
 	return func(s *Server) { s.connTimeout = d }
-}
-
-// WithProtocol pins the accepted wire protocol: "auto" (the default)
-// sniffs the first byte per connection, "text" disables binary framing
-// entirely, and "binary" rejects text clients with a parting error line.
-// Unknown modes fall back to "auto".
-func WithProtocol(mode string) Option {
-	return func(s *Server) { s.protoMode = mode }
 }
 
 // WithNodeID labels this server with a cluster node identity (typically
@@ -428,19 +419,11 @@ func (s *Server) handle(conn net.Conn, st *connStats) {
 		return
 	}
 	if first[0] == proto.MagicReq {
-		if s.protoMode == "text" {
-			return // binary framing disabled: drop silently, no text reply parses
-		}
 		s.connsBinary.Add(1)
 		s.mu.Lock()
 		st.binary = true
 		s.mu.Unlock()
 		s.handleBinary(r, w, &binConn{stats: st, idle: idle})
-		return
-	}
-	if s.protoMode == "binary" {
-		protoErr(w, "binary protocol required")
-		w.Flush()
 		return
 	}
 	s.handleText(r, w, &textConn{stats: st, idle: idle})

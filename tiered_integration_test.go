@@ -36,7 +36,7 @@ func startServer(t *testing.T, c *cache.Cache) (*client.Client, func()) {
 // tieredStack describes one Tier backend under integration test. For
 // "remote" a DRAM-only peer server is stood up first and survives
 // front-cache restarts, playing the role the on-disk directory plays for
-// the flash and file tiers.
+// the flash tier.
 type tieredStack struct {
 	tier string
 	// start builds the front cache + server for this backend. Calling it
@@ -45,26 +45,23 @@ type tieredStack struct {
 }
 
 func newTieredStacks(t *testing.T) []tieredStack {
-	diskBacked := func(tier string) tieredStack {
-		dir := t.TempDir()
-		return tieredStack{tier: tier, start: func(t *testing.T) (*cache.Cache, *client.Client, func()) {
-			t.Helper()
-			c, err := cache.New(cache.Config{
-				MaxBytes:          4 << 10,
-				Shards:            2,
-				Tier:              tier,
-				FlashDir:          dir,
-				FlashBytes:        512 << 10,
-				FlashSegmentBytes: 32 << 10,
-				Admission:         "all",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl, shutdown := startServer(t, c)
-			return c, cl, shutdown
-		}}
-	}
+	dir := t.TempDir()
+	flash := tieredStack{tier: "flash", start: func(t *testing.T) (*cache.Cache, *client.Client, func()) {
+		t.Helper()
+		c, err := cache.New(cache.Config{
+			MaxBytes:          4 << 10,
+			Shards:            2,
+			FlashDir:          dir,
+			FlashBytes:        512 << 10,
+			FlashSegmentBytes: 32 << 10,
+			Admission:         "all",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, shutdown := startServer(t, c)
+		return c, cl, shutdown
+	}}
 	// The remote tier's peer: a plain DRAM cache big enough to hold
 	// every demotion, shared across front restarts.
 	peer, err := cache.New(cache.Config{MaxBytes: 512 << 10})
@@ -86,7 +83,6 @@ func newTieredStacks(t *testing.T) []tieredStack {
 		c, err := cache.New(cache.Config{
 			MaxBytes:  4 << 10,
 			Shards:    2,
-			Tier:      "remote",
 			TierAddr:  peerL.Addr().String(),
 			Admission: "all",
 		})
@@ -96,7 +92,7 @@ func newTieredStacks(t *testing.T) []tieredStack {
 		cl, shutdown := startServer(t, c)
 		return c, cl, shutdown
 	}}
-	return []tieredStack{diskBacked("flash"), diskBacked("file"), remote}
+	return []tieredStack{flash, remote}
 }
 
 // TestTieredEndToEnd drives a server with each second-tier backend over
