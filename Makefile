@@ -14,8 +14,8 @@ test:
 	$(GO) test ./...
 
 # The one race-detector pass, over every package with concurrency in it:
-# the sharded concurrent S3-FIFO machine and the lock-free ring it builds
-# on (TestStressInvariants runs here), telemetry (hammered while scraped),
+# the sharded concurrent S3-FIFO machine (TestStressInvariants runs here)
+# and the lock-free ring the optimized LRU builds on, telemetry (hammered while scraped),
 # the TCP server with the miss coalescer and leases, the fault-injecting
 # filesystem and both on-disk stores on it (the flash tier, and the file
 # store the benchmark's tier-file rungs drive), the cache facade (breaker
@@ -39,7 +39,7 @@ tier1: build vet test race
 # Flag ceiling: s3cached may not register more than FLAG_CEILING flags.
 # A change that adds one raises the ceiling in its own diff and says why;
 # a change that deletes one lowers it.
-LOC_CEILING = 22804
+LOC_CEILING = 22803
 FLAG_CEILING = 20
 loc:
 	@n=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \

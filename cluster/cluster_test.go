@@ -18,14 +18,17 @@ import (
 // testNode is one in-process s3cached: a real server on a loopback
 // listener, restartable on the same address (kill + rejoin scenarios).
 type testNode struct {
-	t    *testing.T
-	addr string
-	srv  *server.Server
+	t      *testing.T
+	addr   string
+	srv    *server.Server
+	leases bool // serve GETX/SETX (server.WithAntiStampede)
 }
 
-func startTestNode(t *testing.T) *testNode {
+func startTestNode(t *testing.T) *testNode { return startNode(t, false) }
+
+func startNode(t *testing.T, leases bool) *testNode {
 	t.Helper()
-	n := &testNode{t: t}
+	n := &testNode{t: t, leases: leases}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +43,11 @@ func (n *testNode) serveOn(l net.Listener) {
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	n.srv = server.New(c, server.WithNodeID(n.addr))
+	opts := []server.Option{server.WithNodeID(n.addr)}
+	if n.leases {
+		opts = append(opts, server.WithAntiStampede(server.AntiStampede{}))
+	}
+	n.srv = server.New(c, opts...)
 	srv := n.srv
 	go srv.Serve(l)
 	n.t.Cleanup(func() { srv.Close() })
@@ -651,5 +658,36 @@ func TestRingIsHashring(t *testing.T) {
 	var r *hashring.Ring = c.Ring()
 	if r.Len() != 3 {
 		t.Fatalf("ring len = %d", r.Len())
+	}
+}
+
+// TestLeaseFillReadsBackBareValue: with Replication > 1 SetX stores the
+// value behind the router's version header, and GetX must strip it, as
+// Get does, so a filled key reads back exactly what was filled.
+func TestLeaseFillReadsBackBareValue(t *testing.T) {
+	addrs := make([]string, 3)
+	for i := range addrs {
+		addrs[i] = startNode(t, true).addr
+	}
+	opts := fastOpts(addrs...)
+	opts.Replication = 2
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	res, err := c.GetX("k", 0)
+	if err != nil || res.Found || res.Lease == 0 {
+		t.Fatalf("first GetX = %+v, %v; want a lease", res, err)
+	}
+	if ok, err := c.SetX("k", res.Lease, []byte("value"), 0); !ok || err != nil {
+		t.Fatalf("SetX = %v, %v", ok, err)
+	}
+	res, err = c.GetX("k", 0)
+	if err != nil || !res.Found || string(res.Value) != "value" {
+		t.Fatalf("GetX after the fill = %q (found %v), %v; want \"value\"", res.Value, res.Found, err)
+	}
+	if v, ok, err := c.Get("k"); err != nil || !ok || string(v) != "value" {
+		t.Fatalf("Get after the fill = %q, %v, %v", v, ok, err)
 	}
 }

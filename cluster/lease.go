@@ -41,6 +41,9 @@ func (c *Client) GetX(key string, grace time.Duration) (client.GetXResult, error
 	if !res.Found && res.Lease == 0 {
 		_, _, _ = c.miss(h, false)
 	}
+	if res.Found && c.opts.Replication > 1 {
+		_, _, res.Value = decodeVersion(res.Value) // SetX stamped it
+	}
 	return res, nil
 }
 

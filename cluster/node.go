@@ -229,17 +229,6 @@ func (n *node) keys(max int) ([]client.KeySample, error) {
 	return ks, err
 }
 
-func (n *node) serverStats() (client.ServerStats, error) {
-	c, err := n.clientConn()
-	if err != nil {
-		n.note(err)
-		return client.ServerStats{}, err
-	}
-	st, err := c.ServerStats()
-	n.note(err)
-	return st, err
-}
-
 // close stops the prober and drops the connection.
 func (n *node) close() {
 	n.mu.Lock()

@@ -64,7 +64,7 @@ const minShardBytes = 4096
 func NewKV(cfg KVConfig) *KV {
 	kv := &KV{}
 	kv.init(max(cfg.MaxBytes, 1), cfg.Shards, minShardBytes, func(shardCap uint64) shardTuning {
-		return shardTuning{evictSlack: shardCap / 64, sweepAt: 64, ghostEntries: 16}
+		return shardTuning{evictSlack: shardCap / 64, ghostEntries: 16}
 	})
 	if cfg.Now != nil {
 		kv.now = cfg.Now
@@ -177,16 +177,19 @@ type QueueOccupancy struct {
 }
 
 // Occupancy samples queue occupancy under each shard's mutex in turn — a
-// scrape-time operation, not a hot-path one. Queue byte totals include
-// tombstoned entries not yet swept, so they can transiently exceed Used.
+// scrape-time operation, not a hot-path one. It counts live entries only,
+// tombstones not yet swept left out, so at rest S and M add up to Used
+// and Len.
 func (c *KV) Occupancy() QueueOccupancy {
 	var occ QueueOccupancy
 	for _, s := range c.shards {
 		s.mu.Lock()
-		occ.SmallBytes += s.small.bytes
-		occ.MainBytes += s.main.bytes
-		occ.SmallLen += s.small.len()
-		occ.MainLen += s.main.len()
+		sb, sn := s.held(inSmall)
+		mb, mn := s.held(inMain)
+		occ.SmallBytes += sb
+		occ.MainBytes += mb
+		occ.SmallLen += sn
+		occ.MainLen += mn
 		occ.GhostLen += s.ghost.Len()
 		s.mu.Unlock()
 	}
@@ -219,7 +222,7 @@ func (c *KV) Sample(limit int) []KeySample {
 			return false
 		}
 		scanBudget--
-		if e.dead.Load() || e.expires.Load() != 0 {
+		if e.isDead() || e.expires.Load() != 0 {
 			return true
 		}
 		out = append(out, KeySample{Key: e.key, Freq: int(e.freq.Load())})
@@ -238,13 +241,11 @@ func (c *KV) Sample(limit int) []KeySample {
 func (c *KV) Range(fn func(key string, value []byte, expiresAt int64) bool) {
 	nowNanos := c.now()
 	c.index.forEach(func(e *entry[string]) bool {
-		if e.dead.Load() {
-			return true
-		}
 		exp := e.expires.Load()
-		if exp != 0 && nowNanos > exp {
+		v, ok := e.value()
+		if !ok || e.isDead() || exp != 0 && nowNanos > exp {
 			return true
 		}
-		return fn(e.key, e.value(), exp)
+		return fn(e.key, v, exp)
 	})
 }

@@ -15,11 +15,10 @@ func ringEntry(i int) *entry[uint64] {
 }
 
 // blocks counts the chain, checking on the way that it holds no empty
-// block and that the length and byte totals are those of the queued slots.
+// block and that the length is that of the queued slots.
 func blocks(t *testing.T, q *ring[uint64]) int {
 	t.Helper()
 	var nb, n int
-	var bytes uint64
 	for b := q.head; b != nil; b = b.next {
 		if b.r >= b.w {
 			t.Fatalf("block %d in the chain is empty (r=%d w=%d)", nb, b.r, b.w)
@@ -28,13 +27,10 @@ func blocks(t *testing.T, q *ring[uint64]) int {
 			t.Fatal("tail is not the last block")
 		}
 		nb++
-		for _, e := range b.slots[b.r:b.w] {
-			n++
-			bytes += uint64(e.size)
-		}
+		n += b.w - b.r
 	}
-	if n != q.len() || bytes != q.bytes {
-		t.Fatalf("chain holds %d entries / %d bytes, ring says %d / %d", n, bytes, q.len(), q.bytes)
+	if n != q.len() {
+		t.Fatalf("chain holds %d entries, ring says %d", n, q.len())
 	}
 	if (q.head == nil) != (q.tail == nil) {
 		t.Fatal("head and tail disagree about emptiness")
@@ -69,8 +65,8 @@ func TestRingFIFOAcrossBlocks(t *testing.T) {
 			t.Fatalf("pop = %v, want %d", e, next)
 		}
 	}
-	if q.pop() != nil || q.len() != 0 || q.bytes != 0 || blocks(t, &q) != 0 {
-		t.Fatalf("drained ring not empty: len %d bytes %d", q.len(), q.bytes)
+	if q.pop() != nil || q.len() != 0 || blocks(t, &q) != 0 {
+		t.Fatalf("drained ring not empty: len %d", q.len())
 	}
 	// Reuse after pop-to-empty, through the spare.
 	for round := 0; round < 3; round++ {
@@ -124,28 +120,26 @@ func TestRingSweep(t *testing.T) {
 		q.pop()
 	}
 	// Dead at both edges of every block, and the third block dead entirely.
-	dead := func(i int) bool {
+	deadAt := func(i int) bool {
 		s := i % blockSlots
 		return s == 0 || s == blockSlots-1 || i/blockSlots == 2
 	}
 	var want []uint64
-	var wantBytes uint64
 	for i := 10; i < n; i++ {
-		if dead(i) {
+		if deadAt(i) {
 			continue
 		}
 		want = append(want, uint64(i))
-		wantBytes += uint64(i%7 + 1)
 	}
 	q.each(func(e *entry[uint64]) bool {
-		if dead(int(e.key)) {
-			e.dead.Store(true)
+		if deadAt(int(e.key)) {
+			e.state.Store(dead)
 		}
 		return true
 	})
 	q.sweep()
-	if q.len() != len(want) || q.bytes != wantBytes {
-		t.Fatalf("after sweep len %d bytes %d, want %d / %d", q.len(), q.bytes, len(want), wantBytes)
+	if q.len() != len(want) {
+		t.Fatalf("after sweep len %d, want %d", q.len(), len(want))
 	}
 	if nb, most := blocks(t, &q), (len(want)+blockSlots-1)/blockSlots; nb != most {
 		t.Fatalf("swept chain is %d blocks for %d entries, want %d", nb, len(want), most)
@@ -158,12 +152,12 @@ func TestRingSweep(t *testing.T) {
 	// Everything dead: the chain empties and the ring still works.
 	for i := 0; i < blockSlots+3; i++ {
 		e := ringEntry(i)
-		e.dead.Store(true)
+		e.state.Store(dead)
 		q.push(e)
 	}
 	q.sweep()
-	if q.len() != 0 || q.bytes != 0 || blocks(t, &q) != 0 || q.pop() != nil {
-		t.Fatalf("all-dead sweep left len %d bytes %d", q.len(), q.bytes)
+	if q.len() != 0 || blocks(t, &q) != 0 || q.pop() != nil {
+		t.Fatalf("all-dead sweep left len %d", q.len())
 	}
 	q.push(ringEntry(1))
 	if e := q.pop(); e == nil || e.key != 1 {

@@ -35,7 +35,6 @@ func NewS3FIFOSharded(capacity, shards int) *S3FIFO {
 		return shardTuning{
 			// The incoming object is one unit of the batch.
 			evictSlack:   batch - 1,
-			sweepAt:      int(max(shardCap/8, 32)),
 			ghostEntries: int(max(shardCap, 16)),
 		}
 	})

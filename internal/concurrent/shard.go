@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"s3fifo/internal/ghost"
-	"s3fifo/internal/lockfree"
 )
 
 // machine is the one concurrent S3-FIFO (§4.3, §5.3) behind both typed
@@ -26,10 +25,10 @@ import (
 // Within a shard the remaining serial work is amortized off the hot path,
 // Cachelib-style:
 //
-//   - Delete never touches the queues; it tombstones the entry and
-//     publishes a hint into a per-shard lock-free ring that the next lock
-//     holder drains, sweeping dead entries out in batch once enough
-//     accumulate.
+//   - Delete never touches the queues; it tombstones the entry and lets
+//     go of its value. S's budget and G's size count live entries, as
+//     Algorithm 1 does, so tombstones are swept in batch at no cost to
+//     any decision.
 //   - Eviction runs down to a low watermark, so most inserts only push
 //     onto a queue and the eviction scan's cache misses are paid in bursts.
 //   - The ghost queue is resized only when the main queue length has
@@ -65,22 +64,20 @@ type machine[K comparable] struct {
 // shard is one independent slice of the cache: its own budget, queues,
 // ghost, and miss-path mutex. A key maps to exactly one shard for life.
 type shard[K comparable] struct {
-	mu          sync.Mutex // guards the queues, the ghost, and tombstones
+	mu          sync.Mutex // guards the queues and the ghost
 	capacity    uint64
 	smallTarget uint64
 	small       ring[K]
 	main        ring[K]
 	ghost       *ghost.Queue
-	// ghostSizedFor is the main-queue length the ghost was last sized to;
-	// Resize runs only when the current length drifts ≥1/8 from it.
+	// ghostSizedFor is the live main-queue length the ghost was last sized
+	// to; Resize runs only when the current length drifts ≥1/8 from it.
 	ghostSizedFor int
-	// pending carries tombstone hints from the lock-free delete path to
-	// the next lock holder; tombstones counts drained hints not yet swept.
-	pending    *lockfree.Ring
-	tombstones int
 	shardTuning
-	used atomic.Int64 // resident size units owned by this shard
-	live atomic.Int64 // resident (non-dead) entries owned by this shard
+	// liveBytes and liveLen count the live entries of S ([inSmall]) and M
+	// ([inMain]), tombstones left out, as Algorithm 1 counts them. The
+	// lock-free retire debits them; all else that moves them holds mu.
+	liveBytes, liveLen [2]atomic.Int64
 }
 
 // shardTuning is the per-shard numbers the two fronts choose differently.
@@ -88,10 +85,9 @@ type shardTuning struct {
 	// evictSlack is the batch-eviction watermark: eviction overshoots by
 	// this much so the following inserts skip the scan.
 	evictSlack uint64
-	// sweepAt tombstones trigger a batched sweep of both queues.
-	sweepAt int
 	// ghostEntries sizes the ghost table before |M| is known.
 	ghostEntries int
+	fixedGhost   bool // G stays at ghostEntries, as core's FixedGhost; tests only
 }
 
 // entry fits the 64-byte size class with a string key, one cache line, and
@@ -106,8 +102,19 @@ type entry[K comparable] struct {
 	size    uint32
 	expires atomic.Int64 // unix nanoseconds; 0 = no TTL
 	freq    atomic.Int32
-	dead    atomic.Bool // deleted or superseded; skipped at eviction scan
+	// state is the queue the entry is (bound to be) in, or'ed with dead
+	// once it is deleted, superseded or evicted. Only the shard mutex
+	// holder moves an entry between queues; anyone may kill it.
+	state atomic.Uint32
 }
+
+const (
+	inSmall uint32 = 0
+	inMain  uint32 = 1
+	dead    uint32 = 2
+)
+
+func (e *entry[K]) isDead() bool { return e.state.Load()&dead != 0 }
 
 var emptyValue byte // what data points at for an empty value: it reads back non-nil
 
@@ -119,7 +126,13 @@ func valueData(value []byte) *byte {
 }
 
 // value is the one way to read an entry's value: one atomic load, whole.
-func (e *entry[K]) value() []byte { return unsafe.Slice(e.data.Load(), e.vlen) }
+// A retired entry has let go of its value and reads as a miss.
+func (e *entry[K]) value() ([]byte, bool) {
+	if p := e.data.Load(); p != nil {
+		return unsafe.Slice(p, e.vlen), true
+	}
+	return nil, false
+}
 
 // blockSlots sizes a queue block to the 2 KiB malloc class: 253 entry
 // pointers, the link and the two cursors.
@@ -133,8 +146,7 @@ type block[K comparable] struct {
 	slots [blockSlots]*entry[K]
 }
 
-// ring is the FIFO of entries with size accounting, guarded by the shard
-// mutex: a chain of fixed blocks, pushed at the tail and popped at the
+// ring is the FIFO of entries, guarded by the shard mutex: a chain of fixed blocks, pushed at the tail and popped at the
 // head. It references what is queued and nothing else — a popped slot is
 // nilled and a drained block leaves the chain whole — so the memory S
 // needed while it was the entire cache (M starts empty) is garbage once S
@@ -145,8 +157,7 @@ type block[K comparable] struct {
 type ring[K comparable] struct {
 	head, tail *block[K] // both nil when empty: the chain holds no empty block
 	spare      *block[K]
-	n          int
-	bytes      uint64 // total size of queued entries, dead ones included
+	n          int // queued entries, tombstones included
 }
 
 func (q *ring[K]) push(e *entry[K]) {
@@ -166,7 +177,6 @@ func (q *ring[K]) push(e *entry[K]) {
 	b.slots[b.w] = e
 	b.w++
 	q.n++
-	q.bytes += uint64(e.size)
 }
 
 func (q *ring[K]) pop() *entry[K] {
@@ -178,7 +188,6 @@ func (q *ring[K]) pop() *entry[K] {
 	b.slots[b.r] = nil
 	b.r++
 	q.n--
-	q.bytes -= uint64(e.size)
 	if b.r == b.w {
 		if q.head = b.next; q.head == nil {
 			q.tail = nil
@@ -220,10 +229,10 @@ func (q *ring[K]) each(fn func(*entry[K]) bool) bool {
 // reader, so it allocates at most its first block.
 func (q *ring[K]) sweep() {
 	b := q.head
-	q.head, q.tail, q.n, q.bytes = nil, nil, 0, 0
+	q.head, q.tail, q.n = nil, nil, 0
 	for b != nil {
 		for _, e := range b.slots[b.r:b.w] {
-			if !e.dead.Load() {
+			if !e.isDead() {
 				q.push(e)
 			}
 		}
@@ -242,11 +251,12 @@ const (
 
 	// maxShards bounds the shard count (matches the index shard count).
 	maxShards = 64
-
-	// pendingRingCap bounds the per-shard tombstone-hint ring; a dropped
-	// hint only delays a sweep.
-	pendingRingCap = 256
 )
+
+// sweepDue says, on every locked insert, whether the shard sweeps its
+// tombstones now: once they are an eighth of what it queues. A variable
+// only so that a test can show that the timing moves no decision.
+var sweepDue = func(dead, queued int64) bool { return dead > 0 && dead*8 >= queued }
 
 // init builds the shards. shards is rounded up to a power of two and
 // capped at maxShards; <= 0 picks a default from GOMAXPROCS, shrunk until
@@ -286,7 +296,6 @@ func (m *machine[K]) init(capacity uint64, shards int, minShard uint64, tune fun
 			capacity:    c,
 			smallTarget: max(uint64(float64(c)*smallRatio), 1),
 			ghost:       ghost.New(t.ghostEntries),
-			pending:     lockfree.NewRing(pendingRingCap),
 			shardTuning: t,
 		}
 	}
@@ -299,19 +308,39 @@ func (m *machine[K]) shardOf(hash uint64) *shard[K] {
 	return m.shards[mix64(hash)&m.shardMask]
 }
 
-// usedBytes reads the shard's resident size, clamping the transient
-// negative readings that the lock-free retire path can produce (an entry
-// retired between index publication and queue insertion is debited
-// before it is credited).
+// held reads queue q's live size and length, clamping the transient
+// negatives of a retire that overtakes its entry's first push.
+func (s *shard[K]) held(q uint32) (bytes uint64, n int) {
+	return uint64(max(s.liveBytes[q].Load(), 0)), int(max(s.liveLen[q].Load(), 0))
+}
+
 func (s *shard[K]) usedBytes() uint64 {
-	return uint64(max(s.used.Load(), 0))
+	return uint64(max(s.liveBytes[inSmall].Load()+s.liveBytes[inMain].Load(), 0))
+}
+
+// charge adds n entries of e's size to queue q's live counts.
+func (s *shard[K]) charge(q uint32, e *entry[K], n int64) {
+	s.liveBytes[q].Add(n * int64(e.size))
+	s.liveLen[q].Add(n)
 }
 
 // lookup finds the live entry for key, if any.
 func (m *machine[K]) lookup(hash uint64, key K) *entry[K] {
 	e, ok := m.index.get(hash)
-	if !ok || e.dead.Load() || e.key != key {
+	if !ok || e.isDead() || e.key != key {
 		return nil
+	}
+	return e
+}
+
+// find is lookup with the lazy TTL check: an expired entry is reaped.
+func (m *machine[K]) find(hash uint64, key K) *entry[K] {
+	e := m.lookup(hash, key)
+	if e != nil {
+		if exp := e.expires.Load(); exp != 0 && m.now() > exp {
+			m.expire(e)
+			return nil
+		}
 	}
 	return e
 }
@@ -330,17 +359,15 @@ func (e *entry[K]) touch() {
 // get is the lock-free hit path: hash lookup, key verification, lazy TTL
 // check, capped atomic frequency bump.
 func (m *machine[K]) get(hash uint64, key K) ([]byte, bool) {
-	e := m.lookup(hash, key)
+	e := m.find(hash, key)
 	if e == nil {
 		return nil, false
 	}
-	if exp := e.expires.Load(); exp != 0 && m.now() > exp {
-		m.expire(e)
-		return nil, false
+	v, ok := e.value()
+	if ok {
+		e.touch()
 	}
-	v := e.value()
-	e.touch()
-	return v, true
+	return v, ok
 }
 
 // getStale returns key's resident value and absolute expiry (0 = no TTL)
@@ -353,7 +380,10 @@ func (m *machine[K]) getStale(hash uint64, key K) ([]byte, int64, bool) {
 	if e == nil {
 		return nil, 0, false
 	}
-	v := e.value()
+	v, ok := e.value()
+	if !ok {
+		return nil, 0, false
+	}
 	exp := e.expires.Load()
 	e.touch()
 	return v, exp, true
@@ -361,17 +391,7 @@ func (m *machine[K]) getStale(hash uint64, key K) ([]byte, int64, bool) {
 
 // contains reports whether key is resident and unexpired, without
 // touching its frequency.
-func (m *machine[K]) contains(hash uint64, key K) bool {
-	e := m.lookup(hash, key)
-	if e == nil {
-		return false
-	}
-	if exp := e.expires.Load(); exp != 0 && m.now() > exp {
-		m.expire(e)
-		return false
-	}
-	return true
-}
+func (m *machine[K]) contains(hash uint64, key K) bool { return m.find(hash, key) != nil }
 
 func newEntry[K comparable](hash uint64, key K, value []byte, size uint32, expiresAt int64) *entry[K] {
 	e := &entry[K]{hash: hash, key: key, vlen: uint32(len(value)), size: size}
@@ -405,7 +425,7 @@ func (m *machine[K]) set(hash uint64, key K, value []byte, size uint32, expiresA
 				break // we own the insertion
 			}
 		}
-		if m.onEvict == nil && !old.dead.Load() && old.key == key && old.size == size && int(old.vlen) == len(value) {
+		if m.onEvict == nil && !old.isDead() && old.key == key && old.size == size && int(old.vlen) == len(value) {
 			// Same key, charge and length: replace in place, lock-free,
 			// keeping frequency and queue slot. With an eviction hook,
 			// overwrites serialize on the shard mutex instead, so they
@@ -440,7 +460,7 @@ func (m *machine[K]) add(hash uint64, key K, value []byte, size uint32, expiresA
 		if !loaded {
 			break
 		}
-		if !old.dead.Load() {
+		if !old.isDead() {
 			// Resident — or a live hash collision with another key, which
 			// keeps its slot: add is best-effort by contract.
 			return false
@@ -457,44 +477,37 @@ func (m *machine[K]) add(hash uint64, key K, value []byte, size uint32, expiresA
 // an entry whose TTL has passed goes the way Contains would send it, as
 // an expiry, and reports false. Without an eviction hook del takes no
 // locks: the queue slot is tombstoned and lazily reclaimed, which is how
-// a ring-buffer deployment behaves (§4.2). With a hook it serializes on
-// the shard mutex so it cannot overtake an in-flight hook call for the
-// same key.
+// a ring-buffer deployment behaves (§4.2). With a hook it takes the shard
+// mutex before it looks, so it cannot overtake an in-flight hook call for
+// the same key (whose eviction has already unmapped it).
 func (m *machine[K]) del(hash uint64, key K) bool {
-	e, ok := m.index.get(hash)
-	if !ok || e.key != key {
-		return false
-	}
 	if m.onEvict != nil {
 		s := m.shardOf(hash)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	if exp := e.expires.Load(); exp != 0 && m.now() > exp {
-		m.expire(e)
+	if e := m.find(hash, key); e == nil || !m.retire(e) {
 		return false
 	}
-	if m.retire(e) {
-		m.deletes.Add(1)
-		return true
-	}
-	return false
+	m.deletes.Add(1)
+	return true
 }
 
-// retire kills e (delete or supersession): the index mapping is cleared
-// and the queue slot tombstoned, to be reclaimed when an eviction scan
-// reaches it or a batched sweep collects it. Reports whether this caller
-// won the kill race.
+// retire kills e (delete or supersession): the index mapping is cleared,
+// the value let go, and the queue slot tombstoned, no longer counted live,
+// until an eviction scan reaches it or a batched sweep collects it.
+// Reports whether this caller won the kill race.
 func (m *machine[K]) retire(e *entry[K]) bool {
-	if e.dead.Swap(true) {
+	q := e.state.Load()
+	for q&dead == 0 && !e.state.CompareAndSwap(q, q|dead) {
+		q = e.state.Load() // moved from S to M meanwhile
+	}
+	if q&dead != 0 {
 		return false
 	}
+	e.data.Store(nil)
 	m.index.deleteIf(e.hash, e)
-	s := m.shardOf(e.hash)
-	s.used.Add(-int64(e.size))
-	s.live.Add(-1)
-	// Hint the next lock holder; a full ring just delays the sweep.
-	s.pending.TryPush(e.hash)
+	m.shardOf(e.hash).charge(q, e, -1)
 	return true
 }
 
@@ -520,40 +533,30 @@ func (s *shard[K]) insertLocked(m *machine[K], e *entry[K]) {
 	s.pushLocked(e, toMain)
 }
 
-// makeRoomLocked absorbs pending tombstones and, when an entry of the
-// given size would overflow the shard, evicts down to the low watermark.
+// makeRoomLocked sweeps the tombstones out once they are due and, when an
+// entry of the given size would overflow the shard, evicts down to the
+// low watermark.
 func (s *shard[K]) makeRoomLocked(m *machine[K], size uint32) {
-	s.drainPendingLocked()
+	queued := int64(s.small.len() + s.main.len())
+	if sweepDue(queued-s.liveLen[inSmall].Load()-s.liveLen[inMain].Load(), queued) {
+		s.small.sweep()
+		s.main.sweep()
+	}
 	if s.usedBytes()+uint64(size) > s.capacity {
 		s.evictLocked(m, uint64(size))
 	}
 }
 
-// pushLocked appends e to the chosen queue and charges its size.
+// pushLocked appends e to the chosen queue and charges its size. An entry
+// retired before its first push was debited from S, so it goes there.
 func (s *shard[K]) pushLocked(e *entry[K], toMain bool) {
-	if toMain {
+	if toMain && e.state.CompareAndSwap(inSmall, inMain) {
 		s.main.push(e)
-	} else {
-		s.small.push(e)
-	}
-	s.used.Add(int64(e.size))
-	s.live.Add(1)
-}
-
-// drainPendingLocked absorbs tombstone hints published by the lock-free
-// delete path and, once enough have accumulated, sweeps dead entries out
-// of both queues in one batch. Called with the shard mutex held.
-func (s *shard[K]) drainPendingLocked() {
-	if s.pending.Len() == 0 {
+		s.charge(inMain, e, 1)
 		return
 	}
-	s.tombstones += s.pending.Drain(func(uint64) {}, pendingRingCap)
-	if s.tombstones < s.sweepAt {
-		return
-	}
-	s.tombstones = 0
-	s.small.sweep()
-	s.main.sweep()
+	s.small.push(e)
+	s.charge(inSmall, e, 1)
 }
 
 // evictLocked evicts down to the low watermark (capacity − incoming −
@@ -577,48 +580,52 @@ func (s *shard[K]) evictLocked(m *machine[K], incoming uint64) {
 }
 
 // maybeResizeGhostLocked tracks |G| = |M| (§4.2) lazily: the ghost is
-// resized only when the main queue length has drifted at least 1/8 from
-// the length it was last sized to.
+// resized only when M's live length has drifted at least 1/8 from the
+// length it was last sized to.
 func (s *shard[K]) maybeResizeGhostLocked() {
-	n := s.main.len()
+	_, n := s.held(inMain)
 	d := n - s.ghostSizedFor
 	if d < 0 {
 		d = -d
 	}
-	if d*8 >= max(s.ghostSizedFor, 16) {
+	if !s.fixedGhost && d*8 >= max(s.ghostSizedFor, 16) {
 		s.ghost.Resize(max(n, 16))
 		s.ghostSizedFor = n
 	}
 }
 
 func (s *shard[K]) evictOneLocked(m *machine[K]) bool {
-	if s.small.bytes >= s.smallTarget || s.main.len() == 0 {
+	if s.liveBytes[inSmall].Load() >= int64(s.smallTarget) || s.liveLen[inMain].Load() <= 0 {
 		return s.evictFromSmallLocked(m)
 	}
 	return s.evictFromMainLocked(m)
 }
 
+// evictFromSmallLocked is Algorithm 1's EVICTS. The move S→M and the
+// eviction both CAS the entry from live in S, so an entry retired there
+// meanwhile (its size already debited) is dropped instead.
 func (s *shard[K]) evictFromSmallLocked(m *machine[K]) bool {
 	for {
 		e := s.small.pop()
 		if e == nil {
 			return s.evictFromMainLocked(m)
 		}
-		if e.dead.Load() {
-			continue // deleted while queued; its size is already freed
-		}
 		if e.freq.Load() > 1 {
-			e.freq.Store(0)
-			s.main.push(e)
+			if e.state.CompareAndSwap(inSmall, inMain) {
+				e.freq.Store(0)
+				s.main.push(e)
+				s.charge(inSmall, e, -1)
+				s.charge(inMain, e, 1)
+			}
 			continue
 		}
 		freq := int(e.freq.Load())
-		if e.dead.Swap(true) {
-			continue // lost the race to a concurrent delete
+		if !e.state.CompareAndSwap(inSmall, inSmall|dead) {
+			continue
 		}
 		s.ghost.Insert(e.hash)
 		m.evictSmall.Add(1)
-		s.finishEvictLocked(m, e, freq)
+		s.finishEvictLocked(m, inSmall, e, freq)
 		return true
 	}
 }
@@ -629,7 +636,7 @@ func (s *shard[K]) evictFromMainLocked(m *machine[K]) bool {
 		if e == nil {
 			return false
 		}
-		if e.dead.Load() {
+		if e.isDead() {
 			continue
 		}
 		if f := e.freq.Load(); f > 0 {
@@ -637,23 +644,24 @@ func (s *shard[K]) evictFromMainLocked(m *machine[K]) bool {
 			s.main.push(e)
 			continue
 		}
-		if e.dead.Swap(true) {
+		if !e.state.CompareAndSwap(inMain, inMain|dead) {
 			continue
 		}
 		m.evictMain.Add(1)
-		s.finishEvictLocked(m, e, 0)
+		s.finishEvictLocked(m, inMain, e, 0)
 		return true
 	}
 }
 
-// finishEvictLocked settles one eviction: index removal, accounting, and
-// the hook. The caller holds the shard mutex and has won the dead swap.
-func (s *shard[K]) finishEvictLocked(m *machine[K], e *entry[K], freq int) {
+// finishEvictLocked settles one eviction from queue q: index removal,
+// accounting, and the hook. The caller holds the shard mutex and has won
+// the kill, so the entry still holds its value.
+func (s *shard[K]) finishEvictLocked(m *machine[K], q uint32, e *entry[K], freq int) {
 	m.index.deleteIf(e.hash, e)
-	s.used.Add(-int64(e.size))
-	s.live.Add(-1)
+	s.charge(q, e, -1)
 	if m.onEvict != nil {
-		m.onEvict(e.key, e.value(), e.size, freq, e.expires.Load())
+		v, _ := e.value()
+		m.onEvict(e.key, v, e.size, freq, e.expires.Load())
 	}
 }
 
@@ -661,7 +669,7 @@ func (s *shard[K]) finishEvictLocked(m *machine[K], e *entry[K], freq int) {
 func (m *machine[K]) Len() int {
 	var n int64
 	for _, s := range m.shards {
-		n += s.live.Load()
+		n += s.liveLen[inSmall].Load() + s.liveLen[inMain].Load()
 	}
 	return int(max(n, 0))
 }
@@ -670,7 +678,7 @@ func (m *machine[K]) Len() int {
 func (m *machine[K]) Used() uint64 {
 	var n int64
 	for _, s := range m.shards {
-		n += s.used.Load()
+		n += s.liveBytes[inSmall].Load() + s.liveBytes[inMain].Load()
 	}
 	return uint64(max(n, 0))
 }

@@ -47,16 +47,14 @@ type MetaRecord struct {
 func (c *KV) SnapshotMeta(fn func(MetaRecord) bool) {
 	nowNanos := c.now()
 	emit := func(e *entry[string], queue MetaQueue) bool {
-		if e.dead.Load() {
-			return true
-		}
 		exp := e.expires.Load()
-		if exp != 0 && nowNanos > exp {
+		v, ok := e.value()
+		if !ok || e.isDead() || exp != 0 && nowNanos > exp {
 			return true
 		}
 		return fn(MetaRecord{
 			Key:       e.key,
-			Value:     e.value(),
+			Value:     v,
 			ExpiresAt: exp,
 			Freq:      int(e.freq.Load()),
 			Queue:     queue,

@@ -41,7 +41,8 @@ var stressFronts = map[string]func(shards int) stressFront{
 // checkMachine is the invariant list both fronts share: the resident size
 // never exceeds the capacity, and once the dust settles every entry still
 // reachable through the index is alive — eviction and delete both unlink
-// dead entries.
+// dead entries — and each shard's live queue counts add up to what it
+// holds, however its retires raced its moves from S to M.
 func checkMachine[K comparable](t *testing.T, m *machine[K], settled bool) {
 	t.Helper()
 	if used := m.Used(); used > m.capacity {
@@ -51,11 +52,28 @@ func checkMachine[K comparable](t *testing.T, m *machine[K], settled bool) {
 		return
 	}
 	m.index.forEach(func(e *entry[K]) bool {
-		if e.dead.Load() {
+		if e.isDead() {
 			t.Errorf("index still maps %v to a dead entry", e.key)
 		}
 		return true
 	})
+	for i, s := range m.shards {
+		s.mu.Lock()
+		for q, r := range []*ring[K]{&s.small, &s.main} {
+			var n, b int64
+			r.each(func(e *entry[K]) bool {
+				if !e.isDead() {
+					n, b = n+1, b+int64(e.size)
+				}
+				return true
+			})
+			if n != s.liveLen[q].Load() || b != s.liveBytes[q].Load() {
+				t.Errorf("shard %d queue %d: %d live entries / %d units queued, counted %d / %d",
+					i, q, n, b, s.liveLen[q].Load(), s.liveBytes[q].Load())
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // TestStressInvariants hammers Get/Set/Delete from many goroutines over

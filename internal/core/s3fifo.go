@@ -419,6 +419,19 @@ func (c *S3FIFO) MainBytes() uint64 { return c.used - c.sUsed }
 // GhostLen returns the number of IDs remembered by the ghost queue G.
 func (c *S3FIFO) GhostLen() int { return c.ghost.Len() }
 
+// Ghost returns the ghost queue G itself, for reading its fingerprints.
+func (c *S3FIFO) Ghost() *ghost.Queue { return c.ghost }
+
+// EachQueued calls fn for every resident object in eviction order, S then
+// M, oldest first: the state an optimised engine is held to exactly.
+func (c *S3FIFO) EachQueued(fn func(key uint64, freq int, inMain bool)) {
+	for i, q := range []*list.List{c.small, c.main} {
+		for n := q.Back(); n != nil; n = n.Prev() {
+			fn(n.Key, int(n.Freq), i == 1)
+		}
+	}
+}
+
 // Stats reports internal movement counters.
 type Stats struct {
 	InsertedToSmall, InsertedToMain uint64

@@ -93,15 +93,3 @@ func (r *Ring) Drain(f func(uint64), max int) int {
 	}
 	return n
 }
-
-// Cap returns the ring's capacity (a power of two).
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Len returns the approximate number of queued values.
-func (r *Ring) Len() int {
-	d := int64(r.tail.Load()) - int64(r.head.Load())
-	if d < 0 {
-		return 0
-	}
-	return int(d)
-}

@@ -56,11 +56,8 @@ func TestCapacityRounding(t *testing.T) {
 	if pushed != 8 {
 		t.Errorf("pushed %d, want 8", pushed)
 	}
-	if r.Len() != 8 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	if r.Cap() != 8 {
-		t.Errorf("Cap = %d, want 8", r.Cap())
+	if n := r.Drain(func(uint64) {}, 100); n != 8 {
+		t.Errorf("drained %d, want 8", n)
 	}
 }
 
