@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race tier1 loc bench-test bench bench-allocs bench-scaling bench-heap bench-overhead
+.PHONY: all build vet test race tier1 loc fmt bench-test bench bench-allocs bench-scaling bench-heap bench-overhead
 
 all: tier1
 
@@ -20,7 +20,8 @@ test:
 # filesystem and both on-disk stores on it (the flash tier, and the file
 # store the benchmark's tier-file rungs drive), the cache facade (breaker
 # prober, Save/Close), the client, the hash ring and cluster router, the
-# herd harness, and the root end-to-end tests (flash outage, restart).
+# harness (its herd test drives the anti-stampede server over TCP), and
+# the root end-to-end tests (flash outage, restart).
 RACE_PKGS = ./internal/concurrent/... ./internal/lockfree/... ./internal/telemetry/... \
 	./internal/server/... ./internal/faultfs/... ./internal/flash/... ./internal/filetier/... \
 	./internal/hashring/... ./internal/harness/... ./cache/... ./client/... ./cluster/... .
@@ -39,7 +40,7 @@ tier1: build vet test race
 # Flag ceiling: s3cached may not register more than FLAG_CEILING flags.
 # A change that adds one raises the ceiling in its own diff and says why;
 # a change that deletes one lowers it.
-LOC_CEILING = 22803
+LOC_CEILING = 21582
 FLAG_CEILING = 20
 loc:
 	@n=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
@@ -48,6 +49,10 @@ loc:
 	@f=$$(grep -oE '\bflag\.[A-Z][A-Za-z0-9]*\(' cmd/s3cached/main.go | grep -cvE 'flag\.(Parse|Parsed|Args?|NArg|NFlag|Lookup|Set|Visit|VisitAll|PrintDefaults|Usage)\('); \
 	echo "s3cached flags: $$f, ceiling $(FLAG_CEILING)"; \
 	test $$f -le $(FLAG_CEILING)
+
+# Formatting: gofmt lists no file anywhere in the tree, bench/ included.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # The benchmark (bench/, a module of its own) has its own tests: golden
 # stream hashes, the lying-store checker, catalogue == BENCHMARK.json, and

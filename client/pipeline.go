@@ -38,8 +38,8 @@ type pipe struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	w       *bufio.Writer
-	gen     uint64 // bumped on every teardown; readLoop exits on mismatch
-	idSeq   uint32 // last assigned request id; reseeded per generation (see redialLocked)
+	gen     uint64            // bumped on every teardown; readLoop exits on mismatch
+	idSeq   uint32            // last assigned request id; reseeded per generation (see redialLocked)
 	pending map[uint32]*pcall // in-flight requests of the current generation
 	closed  bool
 }

@@ -309,7 +309,7 @@ func TestHotKeyReplicates(t *testing.T) {
 	if ok, err := c.Set(hot, []byte("v2")); err != nil || !ok {
 		t.Fatalf("hot Set = %v, %v", ok, err)
 	}
-	owners := c.Ring().Owners(hot, 2)
+	owners := c.Ring().OwnersHash(hashring.KeyHash(hot), 2)
 	for _, addr := range owners {
 		direct, err := client.DialOptions(addr, client.Options{Binary: true})
 		if err != nil {
@@ -352,7 +352,7 @@ func TestReadRepair(t *testing.T) {
 	if ok, err := c.Set(hot, []byte("v2")); err != nil || !ok {
 		t.Fatalf("Set = %v, %v", ok, err)
 	}
-	victim := c.Ring().Owners(hot, 2)[1]
+	victim := c.Ring().OwnersHash(hashring.KeyHash(hot), 2)[1]
 	direct, err := client.DialOptions(victim, client.Options{Binary: true})
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestReadRepairKeepsTTL(t *testing.T) {
 		t.Fatalf("SetWithTTL = %v, %v", ok, err)
 	}
 	written := time.Now()
-	direct, err := client.DialOptions(c.Ring().Owners(hot, 2)[1], client.Options{Binary: true})
+	direct, err := client.DialOptions(c.Ring().OwnersHash(hashring.KeyHash(hot), 2)[1], client.Options{Binary: true})
 	if err != nil {
 		t.Fatal(err)
 	}

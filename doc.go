@@ -3,7 +3,7 @@
 // SOSP '23).
 //
 // The public cache library lives in s3fifo/cache. The paper's evaluation
-// — the S3-FIFO algorithm and its adaptive variant, 16 baseline eviction
+// — the S3-FIFO algorithm and its adaptive variant, 20 baseline eviction
 // algorithms, the trace simulator, the synthetic corpus standing in for
 // the paper's 6,594 production traces, the concurrent throughput harness,
 // and the flash-admission simulator — lives under internal/ and is driven

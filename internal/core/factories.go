@@ -31,14 +31,6 @@ func Factories() map[string]policy.Factory {
 	}
 }
 
-// WithSmallRatio returns a factory building S3-FIFO with a custom small
-// queue fraction (Fig. 10/11 sweeps).
-func WithSmallRatio(ratio float64) policy.Factory {
-	return func(c uint64) policy.Policy {
-		return NewS3FIFO(c, Options{SmallRatio: ratio})
-	}
-}
-
 var (
 	// Interface conformance checks.
 	_ policy.Policy          = (*S3FIFO)(nil)

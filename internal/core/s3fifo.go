@@ -58,11 +58,11 @@ type Options struct {
 	MoveThreshold int
 	// GhostEntries caps the physical size of the ghost table. Default:
 	// capacity (treated as an object-count estimate) capped at 2^20.
-	// The logical ghost capacity tracks M's object count dynamically so
-	// G always holds "the same number of ghost entries as M" (§4.1).
+	// The logical ghost capacity is resized after every S eviction to
+	// the resident object count (S and M; see evictS).
 	GhostEntries int
 	// FixedGhost pins the ghost's logical capacity to GhostEntries
-	// instead of tracking M — used by the ghost-size ablation study.
+	// instead of resizing it — used by the ghost-size ablation study.
 	FixedGhost bool
 	// SmallKind and MainKind choose queue disciplines (§6.3 ablation).
 	// Both default to FIFOQueue.
@@ -191,9 +191,6 @@ func (c *S3FIFO) SetObserver(o policy.Observer) { c.observer = o }
 // probationary region.
 func (c *S3FIFO) SetDemotionObserver(o policy.DemotionObserver) { c.demote = o }
 
-// SmallTarget returns the current byte budget of the small queue.
-func (c *S3FIFO) SmallTarget() uint64 { return c.sTarget }
-
 // Request implements policy.Policy (Algorithm 1 READ).
 func (c *S3FIFO) Request(key uint64, size uint32) bool {
 	c.clock++
@@ -287,9 +284,12 @@ func (c *S3FIFO) evictS() {
 		c.used -= uint64(t.Size)
 		c.ghost.Insert(t.Key)
 		if !c.opts.FixedGhost {
-			// |G| tracks |M| (§4.1). During warm-up, while M is still
-			// filling, the resident object count is the better estimate of
-			// M's eventual population, so take the max of the two.
+			// §4.1 sizes G like M. c.index holds S and M, so len(c.index)
+			// is never below c.main.Len() and this max is always the
+			// resident object count, not |M|: G is sized to every resident
+			// object, at every point of the run. That is a deviation from
+			// the paper, kept until the reference and the served engine
+			// share one ghost rule (ROADMAP.md, "One rule, one reference").
 			c.ghost.Resize(maxInt(maxInt(c.main.Len(), len(c.index)), 16))
 		}
 		c.movedToGhost++

@@ -275,16 +275,16 @@ func TestOversizedBypass(t *testing.T) {
 
 func TestSmallRatioOption(t *testing.T) {
 	c := NewS3FIFO(1000, Options{SmallRatio: 0.3})
-	if c.SmallTarget() != 300 {
-		t.Errorf("SmallTarget = %d, want 300", c.SmallTarget())
+	if c.sTarget != 300 {
+		t.Errorf("sTarget = %d, want 300", c.sTarget)
 	}
 	if c.Name() != "s3fifo-0.3" {
 		t.Errorf("Name = %q", c.Name())
 	}
 	// Degenerate ratios clamp to the default.
 	c2 := NewS3FIFO(1000, Options{SmallRatio: 1.5})
-	if c2.SmallTarget() != 100 {
-		t.Errorf("clamped SmallTarget = %d, want 100", c2.SmallTarget())
+	if c2.sTarget != 100 {
+		t.Errorf("clamped sTarget = %d, want 100", c2.sTarget)
 	}
 }
 
@@ -357,9 +357,9 @@ func TestS3FIFODAdaptsUnderAdversarialWorkload(t *testing.T) {
 	tr := adversarialTwoHit(300000, 1500, 600)
 	capacity := uint64(2000) // S target = 200
 	d := NewS3FIFOD(capacity, Options{})
-	initial := d.SmallTarget()
+	initial := d.sTarget
 	mD := replay(d, tr)
-	if d.SmallTarget() == initial {
+	if d.sTarget == initial {
 		t.Errorf("adaptive S target never moved from %d", initial)
 	}
 	mS := replay(NewS3FIFO(capacity, Options{}), tr)
@@ -389,10 +389,6 @@ func TestFactoriesComplete(t *testing.T) {
 		if p.Capacity() != 100 {
 			t.Errorf("%s: capacity not wired", name)
 		}
-	}
-	p := WithSmallRatio(0.05)(1000)
-	if p.(*S3FIFO).SmallTarget() != 50 {
-		t.Error("WithSmallRatio not applied")
 	}
 }
 

@@ -476,24 +476,6 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Reset drops every record, truncating all bucket files.
-func (s *Store) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for _, b := range s.buckets {
-		if err := s.opts.FS.Truncate(b.path, 0); err != nil {
-			return fmt.Errorf("filetier: reset: %w", err)
-		}
-		b.size = 0
-		b.live = 0
-	}
-	s.index = make(map[string]frec)
-	return nil
-}
-
 // Len returns the number of live records.
 func (s *Store) Len() int {
 	s.mu.Lock()

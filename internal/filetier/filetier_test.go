@@ -231,29 +231,6 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBytes: 1 << 20, Buckets: 4})
-	for i := 0; i < 20; i++ {
-		s.Put(fmt.Sprintf("key-%d", i), []byte("v"), 0)
-	}
-	if err := s.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after Reset", s.Len())
-	}
-	if _, _, ok, _ := s.Get("key-0"); ok {
-		t.Fatal("entry served after Reset")
-	}
-	// The store keeps working after a Reset.
-	if err := s.Put("fresh", []byte("v"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, _ := s.Get("fresh"); !ok {
-		t.Fatal("Put after Reset not served")
-	}
-}
-
 func TestClosedErrors(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir(), MaxBytes: 1 << 20})
 	s.Put("k", []byte("v"), 0)

@@ -345,8 +345,8 @@ func TestResetEmptiesStore(t *testing.T) {
 	if err := s.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	if s.Len() != 0 || s.LiveBytes() != 0 {
-		t.Fatalf("after Reset: len=%d live=%d", s.Len(), s.LiveBytes())
+	if s.Len() != 0 || liveBytes(s) != 0 {
+		t.Fatalf("after Reset: len=%d live=%d", s.Len(), liveBytes(s))
 	}
 	if s.Segments() != 1 {
 		t.Fatalf("after Reset: %d segments, want 1 fresh active", s.Segments())

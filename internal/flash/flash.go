@@ -778,13 +778,6 @@ func (s *Store) Len() int {
 	return s.index.n
 }
 
-// LiveBytes returns the bytes of live records (keys + values + headers).
-func (s *Store) LiveBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveBytes
-}
-
 // DiskUsed returns the total size of the segment files.
 func (s *Store) DiskUsed() uint64 {
 	s.mu.Lock()

@@ -11,6 +11,13 @@ import (
 	"time"
 )
 
+// liveBytes reads the bytes of live records (keys + values + headers).
+func liveBytes(s *Store) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.liveBytes
+}
+
 func openTest(t *testing.T, dir string, maxBytes, segBytes uint64) *Store {
 	t.Helper()
 	s, err := Open(Options{Dir: dir, MaxBytes: maxBytes, SegmentBytes: segBytes})

@@ -78,8 +78,8 @@ func FuzzRecoverSegment(f *testing.F) {
 			t.Fatalf("Open over fuzzed segment: %v", err)
 		}
 		liveLen := s.Len()
-		if s.LiveBytes() > s.DiskUsed() {
-			t.Fatalf("live bytes %d exceed disk used %d", s.LiveBytes(), s.DiskUsed())
+		if liveBytes(s) > s.DiskUsed() {
+			t.Fatalf("live bytes %d exceed disk used %d", liveBytes(s), s.DiskUsed())
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

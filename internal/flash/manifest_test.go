@@ -184,7 +184,7 @@ func TestManifestRoundTripExact(t *testing.T) {
 	}
 	s.Delete("key-299")
 	delete(want, "key-299")
-	n, live := s.Len(), s.LiveBytes()
+	n, live := s.Len(), liveBytes(s)
 	if n == 0 || n == len(want) {
 		t.Fatalf("Len = %d of %d: the store should hold some of them", n, len(want))
 	}
@@ -202,8 +202,8 @@ func TestManifestRoundTripExact(t *testing.T) {
 	if !r.Stats().ManifestRecovered {
 		t.Fatal("the reopen did not use the manifest")
 	}
-	if r.Len() != n || r.LiveBytes() != live {
-		t.Fatalf("Len, LiveBytes = %d, %d after the round trip, want %d, %d", r.Len(), r.LiveBytes(), n, live)
+	if r.Len() != n || liveBytes(r) != live {
+		t.Fatalf("Len, LiveBytes = %d, %d after the round trip, want %d, %d", r.Len(), liveBytes(r), n, live)
 	}
 	for h, want := range held {
 		if got := r.index.get(h); got == nil || *got != want {

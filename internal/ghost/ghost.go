@@ -219,12 +219,9 @@ func (q *Queue) Remove(key uint64) {
 	}
 }
 
-// Hits returns the number of successful Contains lookups since creation or
-// the last ResetHits call. S3-FIFO-D's rebalancer reads this.
+// Hits returns the number of successful Contains lookups since creation.
+// S3-FIFO-D's rebalancer reads this.
 func (q *Queue) Hits() uint64 { return q.hits }
-
-// ResetHits zeroes the hit counter.
-func (q *Queue) ResetHits() { q.hits = 0 }
 
 // Export calls fn for every live fingerprint, oldest insertion first,
 // until fn returns false. Snapshot support: replaying the fingerprints

@@ -124,10 +124,6 @@ func TestHitsCounter(t *testing.T) {
 	if q.Hits() != 2 {
 		t.Errorf("Hits = %d, want 2", q.Hits())
 	}
-	q.ResetHits()
-	if q.Hits() != 0 {
-		t.Errorf("Hits after reset = %d, want 0", q.Hits())
-	}
 }
 
 func TestLenBounded(t *testing.T) {

@@ -207,14 +207,9 @@ func (r *Ring) LookupHash(h uint64) string {
 	return r.nodes[r.points[r.locate(h)].node]
 }
 
-// Owners returns the first n distinct nodes clockwise of key — the
-// replica set for a replication factor of n. Fewer than n members
+// OwnersHash returns the first n distinct nodes clockwise of the key hash
+// h — the replica set for a replication factor of n. Fewer than n members
 // returns them all, primary first.
-func (r *Ring) Owners(key string, n int) []string {
-	return r.OwnersHash(hashString(key), n)
-}
-
-// OwnersHash is Owners for a precomputed key hash.
 func (r *Ring) OwnersHash(h uint64, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
@@ -262,24 +257,6 @@ func (r *Ring) Remove(node string) *Ring {
 		}
 	}
 	return New(keep, r.opts)
-}
-
-// LoadShares returns each node's owned fraction of the hash space, in
-// Nodes() order — what the bounded-load pass guarantees stays under
-// (1+ε)/N. Intended for tests and instrumentation.
-func (r *Ring) LoadShares() []float64 {
-	if len(r.points) == 0 {
-		return nil
-	}
-	load := make([]uint64, len(r.nodes))
-	for i := range r.points {
-		load[r.points[i].node] += r.arcBefore(i)
-	}
-	out := make([]float64, len(load))
-	for i, l := range load {
-		out[i] = float64(l) / float64(^uint64(0))
-	}
-	return out
 }
 
 // String renders a compact description for logs.

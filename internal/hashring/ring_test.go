@@ -51,7 +51,7 @@ func TestBoundedLoadUniformity(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 13} {
 		r := New(nodeNames(n), Options{Epsilon: eps})
 		capShare := (1 + eps) / float64(n)
-		for i, share := range r.LoadShares() {
+		for i, share := range loadShares(r) {
 			if share > capShare*1.0001 { // float slack on the cap itself
 				t.Errorf("n=%d: node %d owns %.4f of the hash space, cap %.4f",
 					n, i, share, capShare)
@@ -89,7 +89,7 @@ func TestMinimalDisruptionOnAdd(t *testing.T) {
 		nodes := nodeNames(n + 1)
 		before := New(nodes[:n], Options{})
 		after := before.Add(nodes[n])
-		keys := testKeys(30_000, int64(100 + n))
+		keys := testKeys(30_000, int64(100+n))
 		moved, movedToNew := 0, 0
 		for _, k := range keys {
 			a, b := before.Lookup(k), after.Lookup(k)
@@ -186,12 +186,30 @@ func TestGoldenPlacement(t *testing.T) {
 	}
 }
 
+// loadShares returns each node's owned fraction of the hash space, in
+// Nodes() order — what the bounded-load pass guarantees stays under
+// (1+ε)/N.
+func loadShares(r *Ring) []float64 {
+	load := make([]uint64, len(r.nodes))
+	for i := range r.points {
+		load[r.points[i].node] += r.arcBefore(i)
+	}
+	out := make([]float64, len(load))
+	for i, l := range load {
+		out[i] = float64(l) / float64(^uint64(0))
+	}
+	return out
+}
+
+// ownersOf is the replica set of key, through the ring's own hash.
+func ownersOf(r *Ring, key string, n int) []string { return r.OwnersHash(hashString(key), n) }
+
 // TestOwners: the replica set has n distinct members, primary first,
 // and degrades gracefully when the ring is smaller than n.
 func TestOwners(t *testing.T) {
 	r := New(nodeNames(4), Options{})
 	for _, k := range testKeys(500, 9) {
-		owners := r.Owners(k, 2)
+		owners := ownersOf(r, k, 2)
 		if len(owners) != 2 {
 			t.Fatalf("Owners(%q, 2) = %v", k, owners)
 		}
@@ -203,7 +221,7 @@ func TestOwners(t *testing.T) {
 		}
 	}
 	small := New(nodeNames(1), Options{})
-	if got := small.Owners("x", 3); len(got) != 1 {
+	if got := ownersOf(small, "x", 3); len(got) != 1 {
 		t.Errorf("Owners on 1-node ring = %v, want 1 owner", got)
 	}
 }
@@ -214,7 +232,7 @@ func TestEmptyAndSingle(t *testing.T) {
 	if got := empty.Lookup("k"); got != "" {
 		t.Errorf("empty ring Lookup = %q", got)
 	}
-	if got := empty.Owners("k", 2); got != nil {
+	if got := ownersOf(empty, "k", 2); got != nil {
 		t.Errorf("empty ring Owners = %v", got)
 	}
 	one := New([]string{"only:1"}, Options{})

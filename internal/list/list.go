@@ -21,8 +21,8 @@ type Node struct {
 	Aux int64
 }
 
-// List is an intrusive doubly-linked list with O(1) PushFront/PushBack,
-// Remove, and MoveToFront. The front is the MRU/head end; the back is the
+// List is an intrusive doubly-linked list with O(1) PushFront, Remove,
+// MoveToFront and PopBack. The front is the MRU/head end; the back is the
 // LRU/tail end.
 type List struct {
 	root Node // sentinel; root.next = front, root.prev = back
@@ -41,31 +41,12 @@ func New() *List {
 // Len returns the number of nodes in the list.
 func (l *List) Len() int { return l.len }
 
-// Front returns the head node, or nil when empty.
-func (l *List) Front() *Node {
-	if l.len == 0 {
-		return nil
-	}
-	return l.root.next
-}
-
 // Back returns the tail node, or nil when empty.
 func (l *List) Back() *Node {
 	if l.len == 0 {
 		return nil
 	}
 	return l.root.prev
-}
-
-// Next returns the node after n toward the back, or nil at the end.
-func (n *Node) Next() *Node {
-	if n.list == nil {
-		return nil
-	}
-	if next := n.next; next != &n.list.root {
-		return next
-	}
-	return nil
 }
 
 // Prev returns the node before n toward the front, or nil at the front.
@@ -97,9 +78,6 @@ func (l *List) insert(n, at *Node) {
 // PushFront inserts n at the head (MRU end).
 func (l *List) PushFront(n *Node) { l.insert(n, &l.root) }
 
-// PushBack inserts n at the tail (LRU end).
-func (l *List) PushBack(n *Node) { l.insert(n, l.root.prev) }
-
 // Remove unlinks n from its list. It panics if n is not in l.
 func (l *List) Remove(n *Node) {
 	if n.list != l {
@@ -129,22 +107,6 @@ func (l *List) MoveToFront(n *Node) {
 	n.next.prev = n
 }
 
-// MoveToBack moves n to the tail. It panics if n is not in l.
-func (l *List) MoveToBack(n *Node) {
-	if n.list != l {
-		panic("list: moving a node from a different list")
-	}
-	if l.root.prev == n {
-		return
-	}
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.next = &l.root
-	n.prev = l.root.prev
-	n.prev.next = n
-	n.next.prev = n
-}
-
 // PopBack removes and returns the tail node, or nil when empty.
 func (l *List) PopBack() *Node {
 	n := l.Back()
@@ -153,23 +115,4 @@ func (l *List) PopBack() *Node {
 	}
 	l.Remove(n)
 	return n
-}
-
-// PopFront removes and returns the head node, or nil when empty.
-func (l *List) PopFront() *Node {
-	n := l.Front()
-	if n == nil {
-		return nil
-	}
-	l.Remove(n)
-	return n
-}
-
-// Keys returns the keys from front to back. Intended for tests.
-func (l *List) Keys() []uint64 {
-	keys := make([]uint64, 0, l.len)
-	for n := l.Front(); n != nil; n = n.Next() {
-		keys = append(keys, n.Key)
-	}
-	return keys
 }

@@ -7,14 +7,23 @@ import (
 	"testing/quick"
 )
 
-func keysOf(l *List) []uint64 { return l.Keys() }
+func keysOf(l *List) []uint64 {
+	keys := make([]uint64, 0, l.len)
+	for n := l.root.next; n != &l.root; n = n.next {
+		keys = append(keys, n.Key)
+	}
+	return keys
+}
+
+// pushBack links n at the tail, to build a list in key order.
+func pushBack(l *List, n *Node) { l.insert(n, l.root.prev) }
 
 func TestEmptyList(t *testing.T) {
 	l := New()
-	if l.Len() != 0 || l.Front() != nil || l.Back() != nil {
-		t.Errorf("empty list: Len=%d Front=%v Back=%v", l.Len(), l.Front(), l.Back())
+	if l.Len() != 0 || l.Back() != nil {
+		t.Errorf("empty list: Len=%d Back=%v", l.Len(), l.Back())
 	}
-	if l.PopBack() != nil || l.PopFront() != nil {
+	if l.PopBack() != nil {
 		t.Error("pop from empty list should return nil")
 	}
 }
@@ -27,21 +36,14 @@ func TestPushOrder(t *testing.T) {
 	if got, want := keysOf(l), []uint64{3, 2, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("PushFront order = %v, want %v", got, want)
 	}
-	l2 := New()
-	for i := uint64(1); i <= 3; i++ {
-		l2.PushBack(&Node{Key: i})
-	}
-	if got, want := keysOf(l2), []uint64{1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("PushBack order = %v, want %v", got, want)
-	}
 }
 
-func TestMoveToFrontAndBack(t *testing.T) {
+func TestMoveToFront(t *testing.T) {
 	l := New()
 	nodes := make([]*Node, 4)
 	for i := range nodes {
 		nodes[i] = &Node{Key: uint64(i)}
-		l.PushBack(nodes[i])
+		pushBack(l, nodes[i])
 	}
 	l.MoveToFront(nodes[2])
 	if got, want := keysOf(l), []uint64{2, 0, 1, 3}; !reflect.DeepEqual(got, want) {
@@ -51,14 +53,6 @@ func TestMoveToFrontAndBack(t *testing.T) {
 	if got, want := keysOf(l), []uint64{2, 0, 1, 3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("after second MoveToFront = %v, want %v", got, want)
 	}
-	l.MoveToBack(nodes[0])
-	if got, want := keysOf(l), []uint64{2, 1, 3, 0}; !reflect.DeepEqual(got, want) {
-		t.Errorf("after MoveToBack = %v, want %v", got, want)
-	}
-	l.MoveToBack(nodes[0])
-	if got, want := keysOf(l), []uint64{2, 1, 3, 0}; !reflect.DeepEqual(got, want) {
-		t.Errorf("after second MoveToBack = %v, want %v", got, want)
-	}
 }
 
 func TestRemoveAndPop(t *testing.T) {
@@ -66,7 +60,7 @@ func TestRemoveAndPop(t *testing.T) {
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		nodes[i] = &Node{Key: uint64(i)}
-		l.PushBack(nodes[i])
+		pushBack(l, nodes[i])
 	}
 	l.Remove(nodes[1])
 	if nodes[1].InList() {
@@ -78,8 +72,8 @@ func TestRemoveAndPop(t *testing.T) {
 	if n := l.PopBack(); n == nil || n.Key != 2 {
 		t.Errorf("PopBack = %v, want key 2", n)
 	}
-	if n := l.PopFront(); n == nil || n.Key != 0 {
-		t.Errorf("PopFront = %v, want key 0", n)
+	if n := l.PopBack(); n == nil || n.Key != 0 {
+		t.Errorf("second PopBack = %v, want key 0", n)
 	}
 	if l.Len() != 0 {
 		t.Errorf("Len = %d, want 0", l.Len())
@@ -89,13 +83,13 @@ func TestRemoveAndPop(t *testing.T) {
 func TestNextPrev(t *testing.T) {
 	l := New()
 	a, b := &Node{Key: 1}, &Node{Key: 2}
-	l.PushBack(a)
-	l.PushBack(b)
-	if a.Next() != b || b.Prev() != a || a.Prev() != nil || b.Next() != nil {
-		t.Error("Next/Prev navigation wrong")
+	pushBack(l, a)
+	pushBack(l, b)
+	if a.next != b || b.Prev() != a || a.Prev() != nil || b.next != &l.root {
+		t.Error("next/Prev navigation wrong")
 	}
 	detached := &Node{Key: 3}
-	if detached.Next() != nil || detached.Prev() != nil {
+	if detached.next != nil || detached.Prev() != nil {
 		t.Error("detached node should have nil neighbors")
 	}
 }
@@ -112,8 +106,8 @@ func TestPanicsOnMisuse(t *testing.T) {
 	}
 	l, other := New(), New()
 	n := &Node{Key: 1}
-	l.PushBack(n)
-	mustPanic("double insert", func() { other.PushBack(n) })
+	pushBack(l, n)
+	mustPanic("double insert", func() { other.PushFront(n) })
 	mustPanic("cross remove", func() { other.Remove(n) })
 	mustPanic("cross move", func() { other.MoveToFront(n) })
 }
@@ -138,7 +132,7 @@ func TestQuickModelCheck(t *testing.T) {
 			case op == 1: // push back
 				n := &Node{Key: nextKey}
 				nodes[nextKey] = n
-				l.PushBack(n)
+				pushBack(l, n)
 				model = append(model, nextKey)
 				nextKey++
 			case op == 2 && len(model) > 0: // move random to front
@@ -185,7 +179,7 @@ func BenchmarkMoveToFront(b *testing.B) {
 	nodes := make([]*Node, 1024)
 	for i := range nodes {
 		nodes[i] = &Node{Key: uint64(i)}
-		l.PushBack(nodes[i])
+		pushBack(l, nodes[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -184,10 +184,6 @@ func (a *ARC) Delete(key uint64) {
 // Len returns the number of cached objects.
 func (a *ARC) Len() int { return len(a.index) }
 
-// P returns the current adaptation target in bytes (exported for the
-// demotion-speed instrumentation of §6.1).
-func (a *ARC) P() uint64 { return a.p }
-
 func minU64(a, b uint64) uint64 {
 	if a < b {
 		return a

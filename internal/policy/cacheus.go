@@ -239,9 +239,6 @@ func (c *CACHEUS) Delete(key uint64) {
 // Len returns the number of cached objects.
 func (c *CACHEUS) Len() int { return len(c.index) }
 
-// LearningRate returns the current adaptive learning rate (for tests).
-func (c *CACHEUS) LearningRate() float64 { return c.lr }
-
 func maxU64c(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -202,6 +202,3 @@ func (l *LeCaR) Delete(key uint64) {
 
 // Len returns the number of cached objects.
 func (l *LeCaR) Len() int { return len(l.index) }
-
-// WeightLRU returns the current LRU expert weight (for tests).
-func (l *LeCaR) WeightLRU() float64 { return l.wLRU }

@@ -73,32 +73,27 @@ type Factory func(capacity uint64) Policy
 // builtin maps algorithm names to factories for every online baseline in
 // this package. Belady is offline and constructed separately via NewBelady.
 var builtin = map[string]Factory{
-	"fifo":             func(c uint64) Policy { return NewFIFO(c) },
-	"lru":              func(c uint64) Policy { return NewLRU(c) },
-	"clock":            func(c uint64) Policy { return NewClock(c) },
-	"fifo-reinsertion": func(c uint64) Policy { return NewClock(c) }, // same algorithm (§3 fn.1)
-	"sfifo":            func(c uint64) Policy { return NewSegmentedFIFO(c, 2) },
-	"slru":             func(c uint64) Policy { return NewSLRU(c, 4) },
-	"2q":               func(c uint64) Policy { return New2Q(c) },
-	"arc":              func(c uint64) Policy { return NewARC(c) },
-	"lirs":             func(c uint64) Policy { return NewLIRS(c) },
-	"tinylfu":          func(c uint64) Policy { return NewTinyLFU(c, 0.01) },
-	"tinylfu-0.1":      func(c uint64) Policy { return NewTinyLFU(c, 0.10) },
-	"lru-2":            func(c uint64) Policy { return NewLRUK(c, 2) },
-	"lecar":            func(c uint64) Policy { return NewLeCaR(c) },
-	"lhd":              func(c uint64) Policy { return NewLHD(c) },
-	"b-lru":            func(c uint64) Policy { return NewBLRU(c) },
-	"fifo-merge":       func(c uint64) Policy { return NewFIFOMerge(c) },
-	"sieve":            func(c uint64) Policy { return NewSieve(c) },
-	"random":           func(c uint64) Policy { return NewRandom(c) },
-	"cacheus":          func(c uint64) Policy { return NewCACHEUS(c) },
-	"clock-pro":        func(c uint64) Policy { return NewClockPro(c) },
-	"eelru":            func(c uint64) Policy { return NewEELRU(c) },
-	"lrfu":             func(c uint64) Policy { return NewLRFU(c, 0) },
-	"mq":               func(c uint64) Policy { return NewMQ(c) },
-	"lfu-da":           func(c uint64) Policy { return NewLFUDA(c) },
-	"gdsf":             func(c uint64) Policy { return NewGDSF(c) },
-	"hyperbolic":       func(c uint64) Policy { return NewHyperbolic(c) },
+	"fifo":        func(c uint64) Policy { return NewFIFO(c) },
+	"lru":         func(c uint64) Policy { return NewLRU(c) },
+	"clock":       func(c uint64) Policy { return NewClock(c) },
+	"sfifo":       func(c uint64) Policy { return NewSegmentedFIFO(c, 2) },
+	"slru":        func(c uint64) Policy { return NewSLRU(c, 4) },
+	"2q":          func(c uint64) Policy { return New2Q(c) },
+	"arc":         func(c uint64) Policy { return NewARC(c) },
+	"lirs":        func(c uint64) Policy { return NewLIRS(c) },
+	"tinylfu":     func(c uint64) Policy { return NewTinyLFU(c, 0.01) },
+	"tinylfu-0.1": func(c uint64) Policy { return NewTinyLFU(c, 0.10) },
+	"lru-2":       func(c uint64) Policy { return NewLRUK(c, 2) },
+	"lecar":       func(c uint64) Policy { return NewLeCaR(c) },
+	"lhd":         func(c uint64) Policy { return NewLHD(c) },
+	"b-lru":       func(c uint64) Policy { return NewBLRU(c) },
+	"fifo-merge":  func(c uint64) Policy { return NewFIFOMerge(c) },
+	"sieve":       func(c uint64) Policy { return NewSieve(c) },
+	"random":      func(c uint64) Policy { return NewRandom(c) },
+	"cacheus":     func(c uint64) Policy { return NewCACHEUS(c) },
+	"clock-pro":   func(c uint64) Policy { return NewClockPro(c) },
+	"eelru":       func(c uint64) Policy { return NewEELRU(c) },
+	"mq":          func(c uint64) Policy { return NewMQ(c) },
 }
 
 // New constructs the named baseline policy.

@@ -58,9 +58,6 @@ func allPolicies(t testing.TB, c uint64) []Policy {
 	t.Helper()
 	var ps []Policy
 	for _, name := range Names() {
-		if name == "fifo-reinsertion" {
-			continue // alias of clock
-		}
 		p, err := New(name, c)
 		if err != nil {
 			t.Fatal(err)

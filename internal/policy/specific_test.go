@@ -144,8 +144,8 @@ func Test2QReadmission(t *testing.T) {
 // TestARCAdaptsP: ghost hits on B1 must grow the recency target.
 func TestARCAdaptsP(t *testing.T) {
 	p := NewARC(10)
-	if p.P() != 0 {
-		t.Fatalf("initial p = %d", p.P())
+	if p.p != 0 {
+		t.Fatalf("initial p = %d", p.p)
 	}
 	// Build a frequency set: fill T1, then re-reference to move into T2.
 	for i := uint64(0); i < 10; i++ {
@@ -159,18 +159,18 @@ func TestARCAdaptsP(t *testing.T) {
 	for i := uint64(100); i < 110; i++ {
 		p.Request(i, 1)
 	}
-	before := p.P()
+	before := p.p
 	grew := false
 	for i := uint64(100); i < 110; i++ {
 		if !p.Contains(i) {
 			p.Request(i, 1) // B1 ghost hit
-			if p.P() > before {
+			if p.p > before {
 				grew = true
 			}
 		}
 	}
 	if !grew {
-		t.Errorf("p did not grow after B1 hits (still %d)", p.P())
+		t.Errorf("p did not grow after B1 hits (still %d)", p.p)
 	}
 }
 
@@ -239,10 +239,10 @@ func TestLeCaRWeightsMove(t *testing.T) {
 	p := NewLeCaR(50)
 	tr := workload.Generate(workload.Config{Objects: 500, Requests: 20000, Alpha: 0.7}, 41)
 	replay(p, tr)
-	if p.WeightLRU() == 0.5 {
+	if p.wLRU == 0.5 {
 		t.Error("LeCaR weights never updated")
 	}
-	if w := p.WeightLRU(); w <= 0 || w >= 1 {
+	if w := p.wLRU; w <= 0 || w >= 1 {
 		t.Errorf("weight out of range: %v", w)
 	}
 }

@@ -20,7 +20,7 @@ func TestDeleteReply(t *testing.T) {
 			t.Parallel() // each case sleeps out a one-second TTL
 			addr, srv := startServerOpts(t, cache.Config{MaxBytes: 16 << 10, Shards: 1,
 				FlashDir: t.TempDir(), FlashBytes: 4 << 20})
-			t.Cleanup(func() { srv.Cache().Close() })
+			t.Cleanup(func() { srv.cache.Close() })
 			c := dialBinary(t, addr, client.Options{Binary: binary})
 
 			// ~60 KB through a 16 KB cache: the early keys live on flash only.
@@ -30,7 +30,7 @@ func TestDeleteReply(t *testing.T) {
 					t.Fatalf("Set key-%03d = %v, %v", i, ok, err)
 				}
 			}
-			if srv.Cache().Stats().Demotions == 0 {
+			if srv.cache.Stats().Demotions == 0 {
 				t.Fatal("nothing was demoted; the flash-only case is not covered")
 			}
 			if ok, err := c.SetWithTTL("short-lived", []byte("v"), time.Second); err != nil || !ok {

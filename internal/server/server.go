@@ -272,9 +272,6 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// Cache returns the underlying cache (for stats inspection).
-func (s *Server) Cache() *cache.Cache { return s.cache }
-
 // Serve accepts connections on l until Close is called. Transient Accept
 // errors (EMFILE under fd pressure, ECONNABORTED, ...) are retried with
 // capped exponential backoff — a cache server must ride out fd

@@ -226,7 +226,7 @@ func testConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if srv.Cache().Used() > srv.Cache().Capacity() {
+	if srv.cache.Used() > srv.cache.Capacity() {
 		t.Error("capacity exceeded under concurrent clients")
 	}
 }

@@ -17,10 +17,6 @@ import (
 	"s3fifo/internal/trace"
 )
 
-// MinCacheObjects is the paper's evaluation rule: a trace is skipped when
-// the configured cache size is below 1000 objects (§5.1.2).
-const MinCacheObjects = 1000
-
 // Result summarizes one policy × trace run.
 type Result struct {
 	Algorithm      string
@@ -156,20 +152,6 @@ func Unitize(tr trace.Trace) trace.Trace {
 		out[i] = trace.Request{ID: r.ID, Size: 1, Op: r.Op}
 	}
 	return out
-}
-
-// Compare replays tr through each named algorithm at the given capacity
-// and returns results in the same order. Unknown names error.
-func Compare(names []string, capacity uint64, tr trace.Trace) ([]Result, error) {
-	results := make([]Result, 0, len(names))
-	for _, name := range names {
-		p, err := NewPolicy(name, capacity, tr)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, Run(p, tr))
-	}
-	return results, nil
 }
 
 // FrequencyAtEviction replays tr and histograms how many times each

@@ -45,9 +45,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // MissRatioReduction computes the bounded reduction metric from §5.1.2:
 // (MRfifo-MRalgo)/MRfifo when the algorithm beats FIFO, and
 // -(MRalgo-MRfifo)/MRalgo otherwise, bounding the value to [-1, 1] and
@@ -120,9 +117,6 @@ func (h *Histogram) Observe(v int) {
 	h.total++
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
 // Count returns the number of observations in bucket v (the last bucket is
 // overflow).
 func (h *Histogram) Count(v int) uint64 {
@@ -138,19 +132,4 @@ func (h *Histogram) Fraction(v int) float64 {
 		return 0
 	}
 	return float64(h.Count(v)) / float64(h.total)
-}
-
-// CDF returns the cumulative fraction of observations <= v.
-func (h *Histogram) CDF(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if v >= len(h.buckets)-1 {
-		return 1
-	}
-	var cum uint64
-	for i := 0; i <= v; i++ {
-		cum += h.buckets[i]
-	}
-	return float64(cum) / float64(h.total)
 }

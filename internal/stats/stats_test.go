@@ -113,8 +113,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{0, 0, 1, 2, 3, 99, -5} {
 		h.Observe(v)
 	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
+	if h.total != 7 {
+		t.Errorf("total = %d, want 7", h.total)
 	}
 	// -5 clamps to bucket 0, 99 clamps to overflow (bucket 4).
 	if h.Count(0) != 3 {
@@ -129,17 +129,11 @@ func TestHistogram(t *testing.T) {
 	if !almostEqual(h.Fraction(0), 3.0/7) {
 		t.Errorf("Fraction(0) = %v", h.Fraction(0))
 	}
-	if !almostEqual(h.CDF(3), 6.0/7) {
-		t.Errorf("CDF(3) = %v", h.CDF(3))
-	}
-	if !almostEqual(h.CDF(100), 1) {
-		t.Errorf("CDF(overflow) = %v", h.CDF(100))
-	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0) // clamps to 1 bucket + overflow
-	if h.Fraction(0) != 0 || h.CDF(0) != 0 {
+	if h.Fraction(0) != 0 {
 		t.Error("empty histogram fractions should be 0")
 	}
 }

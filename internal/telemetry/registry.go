@@ -72,7 +72,6 @@ type series struct {
 	labels Labels
 	// exactly one of these is set, per the family's kind
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
@@ -138,15 +137,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return s.counter
 }
 
-// Gauge registers (or fetches) a gauge series. Nil registry returns nil.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	s := r.register(name, help, kindGauge, labels, &series{gauge: &Gauge{}})
-	return s.gauge
-}
-
 // Histogram registers (or fetches) a histogram series. Nil registry
 // returns nil.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
@@ -200,8 +190,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.counter.Value())
 			case s.counterFunc != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.counterFunc())
-			case s.gauge != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
 			case s.gaugeFunc != nil:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels,
 					strconv.FormatFloat(s.gaugeFunc(), 'g', -1, 64))

@@ -19,7 +19,7 @@ func goldenRegistry() *Registry {
 	hits := r.Counter("cache_hits_total", "Lookups served from the cache.", Labels{{"tier", "dram"}})
 	hits.Add(123)
 	r.Counter("cache_hits_total", "Lookups served from the cache.", Labels{{"tier", "flash"}}).Add(4)
-	r.Gauge("cache_entries", "Resident entries.", nil).Set(17)
+	r.GaugeFunc("cache_entries", "Resident entries.", nil, func() float64 { return 17 })
 	r.CounterFunc("cache_evictions_total", "Capacity evictions.", Labels{{"reason", "small_queue_evict"}},
 		func() uint64 { return 9 })
 	r.GaugeFunc("cache_used_ratio", "Used bytes over capacity.", nil, func() float64 { return 0.75 })

@@ -1,11 +1,11 @@
 // Package telemetry is the repository's stdlib-only metrics layer: atomic
-// counters, gauges, and log₂-bucketed latency histograms behind a registry
-// that renders the Prometheus text exposition format.
+// counters, scrape-time gauges, and log₂-bucketed latency histograms
+// behind a registry that renders the Prometheus text exposition format.
 //
 // The design rule is that the serving hot path never pays for telemetry it
 // did not ask for, and pays almost nothing when it did:
 //
-//   - Every instrument is nil-safe: methods on a nil *Counter, *Gauge, or
+//   - Every instrument is nil-safe: methods on a nil *Counter or
 //     *Histogram are no-ops, and a nil *Registry hands out nil instruments.
 //     A metrics-off cache therefore carries exactly one nil check per op.
 //   - Recording is a single atomic add (plus one more for a histogram's
@@ -63,34 +63,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable int64. The zero value is ready to use; a nil *Gauge
-// ignores updates.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // histBuckets is the number of log₂ latency buckets: bucket i counts
@@ -154,26 +126,6 @@ func (h *Histogram) snapshot() (counts [histBuckets]uint64, sumNs uint64) {
 		counts[i] = atomic.LoadUint64(&h.counts[i])
 	}
 	return counts, atomic.LoadUint64(&h.sumNs)
-}
-
-// Total returns the number of recorded observations (0 on nil).
-func (h *Histogram) Total() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += atomic.LoadUint64(&h.counts[i])
-	}
-	return n
-}
-
-// Sum returns the sum of all recorded durations (0 on nil).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadUint64(&h.sumNs))
 }
 
 // Quantile returns the duration at quantile q in [0, 1], reported as the

@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// histTotal returns the number of observations h holds.
+func histTotal(h *Histogram) uint64 {
+	counts, _ := h.snapshot()
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -15,11 +25,21 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	// A gauge is read at scrape time.
+	r := NewRegistry()
+	n := 7
+	r.GaugeFunc("depth", "queue depth", nil, func() float64 { return float64(n) })
+	n = 4
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals["depth"]; got != 4 {
+		t.Fatalf("gauge = %v, want 4", got)
 	}
 }
 
@@ -30,16 +50,10 @@ func TestNilInstrumentsNoop(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter should read 0")
 	}
-	var g *Gauge
-	g.Set(5)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge should read 0")
-	}
 	var h *Histogram
 	h.Observe(time.Second)
 	h.Merge(nil)
-	if h.Total() != 0 || h.Quantile(0.5) != 0 || h.Sum() != 0 {
+	if h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram should read 0")
 	}
 }
@@ -48,9 +62,6 @@ func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	if r.Counter("a_total", "h", nil) != nil {
 		t.Fatal("nil registry should hand out nil counters")
-	}
-	if r.Gauge("b", "h", nil) != nil {
-		t.Fatal("nil registry should hand out nil gauges")
 	}
 	if r.Histogram("c_seconds", "h", nil) != nil {
 		t.Fatal("nil registry should hand out nil histograms")
@@ -75,7 +86,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(1 * time.Millisecond)
 	}
-	if got := h.Total(); got != 100 {
+	if got := histTotal(&h); got != 100 {
 		t.Fatalf("total = %d, want 100", got)
 	}
 	p50 := h.Quantile(0.50)
@@ -86,8 +97,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if p99 < 1*time.Millisecond || p99 > 2*time.Millisecond {
 		t.Fatalf("p99 = %v, want ~1ms bucket bound", p99)
 	}
-	if h.Sum() != 90*time.Microsecond+10*time.Millisecond {
-		t.Fatalf("sum = %v", h.Sum())
+	if _, sum := h.snapshot(); time.Duration(sum) != 90*time.Microsecond+10*time.Millisecond {
+		t.Fatalf("sum = %v", time.Duration(sum))
 	}
 }
 
@@ -96,7 +107,7 @@ func TestHistogramMerge(t *testing.T) {
 	a.Observe(10 * time.Nanosecond)
 	b.Observe(10 * time.Millisecond)
 	a.Merge(&b)
-	if got := a.Total(); got != 2 {
+	if got := histTotal(&a); got != 2 {
 		t.Fatalf("merged total = %d, want 2", got)
 	}
 	if got := a.Quantile(1); got < 10*time.Millisecond {
@@ -107,7 +118,7 @@ func TestHistogramMerge(t *testing.T) {
 func TestHistogramObserveNegative(t *testing.T) {
 	var h Histogram
 	h.Observe(-time.Second)
-	if h.Total() != 1 {
+	if histTotal(&h) != 1 {
 		t.Fatal("negative observation should count as zero, not be dropped")
 	}
 	if h.Quantile(0.5) > time.Nanosecond {
@@ -136,7 +147,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering x_total as a gauge should panic")
 		}
 	}()
-	r.Gauge("x_total", "h", nil)
+	r.GaugeFunc("x_total", "h", nil, func() float64 { return 0 })
 }
 
 // TestConcurrentUpdatesAndRender is the race-detector test the Makefile
@@ -145,7 +156,6 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 func TestConcurrentUpdatesAndRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "ops", Labels{{"op", "get"}})
-	g := r.Gauge("depth", "queue depth", nil)
 	h := r.Histogram("lat_seconds", "latency", Labels{{"op", "get"}})
 	r.GaugeFunc("derived", "scrape-time gauge", nil, func() float64 {
 		return float64(c.Value())
@@ -160,8 +170,6 @@ func TestConcurrentUpdatesAndRender(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(time.Duration(j%1000) * time.Microsecond)
 				// Concurrent re-registration of an existing series must be
 				// safe too: layers look metrics up independently.
@@ -192,11 +200,8 @@ func TestConcurrentUpdatesAndRender(t *testing.T) {
 	if got := c.Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := h.Total(); got != goroutines*perG {
+	if got := histTotal(h); got != goroutines*perG {
 		t.Fatalf("histogram total = %d, want %d", got, goroutines*perG)
-	}
-	if got := g.Value(); got != 0 {
-		t.Fatalf("gauge = %d, want 0", got)
 	}
 }
 

@@ -110,28 +110,6 @@ func ReadAll(r Reader) (Trace, error) {
 	}
 }
 
-// SliceReader adapts an in-memory trace to the Reader interface.
-type SliceReader struct {
-	t   Trace
-	pos int
-}
-
-// NewSliceReader returns a Reader over t.
-func NewSliceReader(t Trace) *SliceReader { return &SliceReader{t: t} }
-
-// Read returns the next request or io.EOF.
-func (r *SliceReader) Read() (Request, error) {
-	if r.pos >= len(r.t) {
-		return Request{}, io.EOF
-	}
-	req := r.t[r.pos]
-	r.pos++
-	return req, nil
-}
-
-// Reset rewinds the reader to the start of the trace.
-func (r *SliceReader) Reset() { r.pos = 0 }
-
 // binaryMagic guards the binary trace format. Format: magic, then for each
 // request a fixed 13-byte little-endian record: id u64, size u32, op u8.
 var binaryMagic = [4]byte{'S', '3', 'T', '1'}

@@ -40,25 +40,6 @@ func TestFootprintBytes(t *testing.T) {
 	}
 }
 
-func TestSliceReader(t *testing.T) {
-	tr := Trace{{ID: 5, Size: 1}, {ID: 6, Size: 2, Op: OpSet}}
-	r := NewSliceReader(tr)
-	got, err := ReadAll(r)
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Errorf("ReadAll = %v, want %v", got, tr)
-	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("Read after end = %v, want io.EOF", err)
-	}
-	r.Reset()
-	if req, err := r.Read(); err != nil || req.ID != 5 {
-		t.Errorf("after Reset, Read = %v, %v", req, err)
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := Trace{
 		{ID: 0, Size: 0, Op: OpGet},

@@ -13,8 +13,8 @@ import (
 func TestZipfBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	z := NewZipf(rng, 1.0, 100)
-	if z.N() != 100 {
-		t.Fatalf("N = %d", z.N())
+	if len(z.prob) != 100 {
+		t.Fatalf("ranks = %d", len(z.prob))
 	}
 	for i := 0; i < 10000; i++ {
 		s := z.Sample()

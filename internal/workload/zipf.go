@@ -84,6 +84,3 @@ func (z *Zipf) Sample() int {
 	}
 	return int(z.alias[col])
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.prob) }
