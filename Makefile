@@ -33,17 +33,17 @@ race:
 # suite must pass, and the concurrent paths must be race-clean.
 tier1: build vet test race
 
-# Line ceiling: the non-test Go outside bench/ (a module of its own) may
-# not grow past LOC_CEILING. A change that deletes code lowers it to what
-# it leaves.
+# Line ceiling: the non-test Go outside bench/ (a module of its own) and
+# outside testdata/ directories (which go build skips) may not grow past
+# LOC_CEILING. A change that deletes code lowers it to what it leaves.
 #
 # Flag ceiling: s3cached may not register more than FLAG_CEILING flags.
 # A change that adds one raises the ceiling in its own diff and says why;
 # a change that deletes one lowers it.
-LOC_CEILING = 21582
+LOC_CEILING = 21007
 FLAG_CEILING = 20
 loc:
-	@n=$$(find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
+	@n=$$(find . \( -path ./bench -o -path './.*' -o -name testdata \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \
 	echo "non-test Go outside bench/: $$n lines, ceiling $(LOC_CEILING)"; \
 	test $$n -le $(LOC_CEILING)
 	@f=$$(grep -oE '\bflag\.[A-Z][A-Za-z0-9]*\(' cmd/s3cached/main.go | grep -cvE 'flag\.(Parse|Parsed|Args?|NArg|NFlag|Lookup|Set|Visit|VisitAll|PrintDefaults|Usage)\('); \

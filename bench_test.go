@@ -1,7 +1,7 @@
 // Benchmarks that regenerate each table and figure of the paper's
 // evaluation at a reduced scale. Each benchmark reports the headline
 // metric of its figure via b.ReportMetric so `go test -bench=.` doubles
-// as a quick reproduction run; the cmd/ tools print the full series at
+// as a quick reproduction run; cmd/s3sim prints the full series at
 // larger scales (see EXPERIMENTS.md for a key).
 package s3fifo
 
@@ -66,13 +66,16 @@ func BenchmarkFigure4FrequencyAtEviction(b *testing.B) {
 // at the large cache size.
 func BenchmarkFigure6MissRatioReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := harness.RunEfficiency(harness.EfficiencyConfig{
+		results, err := harness.RunEfficiency(harness.EfficiencyConfig{
 			Scale:     benchScale,
 			SizeFracs: []float64{0.10},
 			Algorithms: []string{
 				"fifo", "lru", "clock", "arc", "lirs", "tinylfu", "2q", "s3fifo",
 			},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range harness.Fig6Summaries(results, 0.10) {
 			if s.Algorithm == "s3fifo" {
 				b.ReportMetric(s.Summary.Mean, "s3fifo-mean-reduction")
@@ -86,11 +89,14 @@ func BenchmarkFigure6MissRatioReduction(b *testing.B) {
 // and reports how many of the 14 datasets S3-FIFO wins.
 func BenchmarkFigure7DatasetWinners(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := harness.RunEfficiency(harness.EfficiencyConfig{
+		results, err := harness.RunEfficiency(harness.EfficiencyConfig{
 			Scale:      benchScale,
 			SizeFracs:  []float64{0.10},
 			Algorithms: []string{"fifo", "lru", "arc", "tinylfu", "s3fifo"},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		per := harness.Fig7PerDataset(results, 0.10)
 		_, counts := harness.BestPerDataset(per)
 		b.ReportMetric(float64(counts["s3fifo"]), "s3fifo-dataset-wins")
@@ -193,7 +199,10 @@ func BenchmarkFigure11SmallQueueSweep(b *testing.B) {
 // BenchmarkAdaptiveS3FIFOD regenerates the §6.2.2 comparison.
 func BenchmarkAdaptiveS3FIFOD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := harness.AdaptiveComparison(0.01, 0)
+		out, err := harness.AdaptiveComparison(0.01, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range out[0.10] {
 			b.ReportMetric(s.Summary.Mean, s.Algorithm+"-mean")
 		}
@@ -203,7 +212,10 @@ func BenchmarkAdaptiveS3FIFOD(b *testing.B) {
 // BenchmarkAblationQueueType regenerates the §6.3 queue-type ablation.
 func BenchmarkAblationQueueType(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := harness.AblationComparison(0.01, 0)
+		out, err := harness.AblationComparison(0.01, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var static, lruBoth float64
 		for _, s := range out[0.10] {
 			switch s.Algorithm {
@@ -222,7 +234,10 @@ func BenchmarkAblationQueueType(b *testing.B) {
 // (the design choices DESIGN.md calls out beyond the paper's ablations).
 func BenchmarkDesignAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := harness.DesignAblation(0.01, 0)
+		out, err := harness.DesignAblation(0.01, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range out[0.10] {
 			switch s.Algorithm {
 			case "s3fifo-t1", "s3fifo-g0.1", "s3fifo-g2":
@@ -236,10 +251,13 @@ func BenchmarkDesignAblation(b *testing.B) {
 // on a subset of algorithms.
 func BenchmarkByteMissRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := harness.RunEfficiency(harness.EfficiencyConfig{
+		results, err := harness.RunEfficiency(harness.EfficiencyConfig{
 			Scale: 0.01, SizeFracs: []float64{0.10}, ByteMode: true,
 			Algorithms: []string{"fifo", "lru", "s3fifo"},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range harness.Fig6Summaries(results, 0.10) {
 			if s.Algorithm == "s3fifo" {
 				b.ReportMetric(s.Summary.Mean, "s3fifo-byte-reduction")

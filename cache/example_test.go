@@ -3,6 +3,7 @@ package cache_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 
 	"s3fifo/cache"
 )
@@ -69,4 +70,50 @@ func ExampleCache_Save() {
 	fmt.Printf("restored session = %s\n", v)
 	// Output:
 	// restored session = state
+}
+
+func ExampleConfig_flashTier() {
+	dir, err := os.MkdirTemp("", "s3f")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+
+	c, err := cache.New(cache.Config{
+		MaxBytes:   4 << 10, // tier 1: DRAM
+		FlashDir:   dir,     // tier 2: log-structured flash store
+		FlashBytes: 1 << 20,
+		Admission:  "ghost", // or "all", "freq", "prob"
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+
+	value := bytes.Repeat([]byte("v"), 100)
+	c.Set("wanted", value)
+	// One-hit wonders push "wanted" out of DRAM. Nothing asked for it while
+	// it was resident, so ghost admission declines to write it to flash.
+	flood := func() {
+		for i := 0; c.Contains("wanted") && i < 1000; i++ {
+			c.Set(fmt.Sprintf("flood-%d", i), value)
+		}
+	}
+	flood()
+	_, ok := c.Get("wanted")
+	fmt.Println("after the first flood, wanted cached:", ok)
+
+	// Asked for while absent, it is remembered by the ghost queue: the
+	// caller's re-Set writes it through to flash, where it outlives the
+	// next flood.
+	c.Set("wanted", value)
+	flood()
+	_, ok = c.Get("wanted")
+	st := c.Stats()
+	fmt.Println("after the second flood, wanted cached:", ok)
+	fmt.Println("served from flash:", st.FlashHits, "flash written:", st.FlashBytesWritten > 0)
+	// Output:
+	// after the first flood, wanted cached: false
+	// after the second flood, wanted cached: true
+	// served from flash: 1 flash written: true
 }

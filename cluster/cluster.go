@@ -578,9 +578,6 @@ func (c *Client) Stats() Stats {
 	return st
 }
 
-// Ring returns the current ring (for inspection; immutable).
-func (c *Client) Ring() *hashring.Ring { return c.ring.Load() }
-
 func (c *Client) registerGlobalMetrics() {
 	m := c.opts.Metrics
 	if m == nil {

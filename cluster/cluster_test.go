@@ -158,7 +158,7 @@ func TestRoutingMatchesRing(t *testing.T) {
 	want := map[string]int{}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("route-%d", i)
-		want[c.Ring().Lookup(k)]++
+		want[c.ring.Load().Lookup(k)]++
 		if ok, err := c.Set(k, []byte("x")); err != nil || !ok {
 			t.Fatalf("Set = %v, %v", ok, err)
 		}
@@ -201,7 +201,7 @@ func TestDeadNodeDegradesToMisses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%s) returned error with a dead node: %v", k, err)
 		}
-		owner := c.Ring().Lookup(k)
+		owner := c.ring.Load().Lookup(k)
 		switch {
 		case ok && owner == deadAddr:
 			t.Errorf("hit %q=%q from dead node?", k, v)
@@ -309,7 +309,7 @@ func TestHotKeyReplicates(t *testing.T) {
 	if ok, err := c.Set(hot, []byte("v2")); err != nil || !ok {
 		t.Fatalf("hot Set = %v, %v", ok, err)
 	}
-	owners := c.Ring().OwnersHash(hashring.KeyHash(hot), 2)
+	owners := c.ring.Load().OwnersHash(hashring.KeyHash(hot), 2)
 	for _, addr := range owners {
 		direct, err := client.DialOptions(addr, client.Options{Binary: true})
 		if err != nil {
@@ -352,7 +352,7 @@ func TestReadRepair(t *testing.T) {
 	if ok, err := c.Set(hot, []byte("v2")); err != nil || !ok {
 		t.Fatalf("Set = %v, %v", ok, err)
 	}
-	victim := c.Ring().OwnersHash(hashring.KeyHash(hot), 2)[1]
+	victim := c.ring.Load().OwnersHash(hashring.KeyHash(hot), 2)[1]
 	direct, err := client.DialOptions(victim, client.Options{Binary: true})
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestReadRepairKeepsTTL(t *testing.T) {
 		t.Fatalf("SetWithTTL = %v, %v", ok, err)
 	}
 	written := time.Now()
-	direct, err := client.DialOptions(c.Ring().OwnersHash(hashring.KeyHash(hot), 2)[1], client.Options{Binary: true})
+	direct, err := client.DialOptions(c.ring.Load().OwnersHash(hashring.KeyHash(hot), 2)[1], client.Options{Binary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestRemoveNodeGhosts(t *testing.T) {
 	lostKeys := []string{}
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("gk-%d", i)
-		if c.Ring().Lookup(k) == removed {
+		if c.ring.Load().Lookup(k) == removed {
 			lostKeys = append(lostKeys, k)
 		}
 	}
@@ -461,7 +461,7 @@ func TestRemoveNodeGhosts(t *testing.T) {
 	if err := c.RemoveNode(removed); err != nil {
 		t.Fatal(err)
 	}
-	if c.Ring().Contains(removed) {
+	if c.ring.Load().Contains(removed) {
 		t.Fatal("ring still contains removed node")
 	}
 	if c.Stats().GhostEntries == 0 {
@@ -504,7 +504,7 @@ func TestAddNodeWarmup(t *testing.T) {
 	if err := c.AddNode(joiner.addr); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Ring().Contains(joiner.addr) {
+	if !c.ring.Load().Contains(joiner.addr) {
 		t.Fatal("ring missing joined node")
 	}
 	if c.Stats().WarmedKeys == 0 {
@@ -513,7 +513,7 @@ func TestAddNodeWarmup(t *testing.T) {
 	// Every key the new ring assigns to the joiner must still hit.
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("wk-%d", i)
-		if c.Ring().Lookup(k) != joiner.addr {
+		if c.ring.Load().Lookup(k) != joiner.addr {
 			continue
 		}
 		v, ok, err := c.Get(k)
@@ -545,7 +545,7 @@ func TestAddNodeWarmupKeepsTTL(t *testing.T) {
 		k := fmt.Sprintf("tk-%d", i)
 		if v, ok, err := c.Get(k); err != nil || ok {
 			t.Fatalf("%s after its TTL (owner %s) = %q, %v, %v; want a miss",
-				k, c.Ring().Lookup(k), v, ok, err)
+				k, c.ring.Load().Lookup(k), v, ok, err)
 		}
 	}
 }
@@ -561,7 +561,7 @@ func TestAddNodeUnreachable(t *testing.T) {
 	if err := c.AddNode(ghostAddr); err != nil {
 		t.Fatalf("AddNode(unreachable) = %v", err)
 	}
-	if !c.Ring().Contains(ghostAddr) {
+	if !c.ring.Load().Contains(ghostAddr) {
 		t.Fatal("unreachable node not in ring")
 	}
 	if n := c.nodeByAddr(ghostAddr); n == nil || n.available() {
@@ -655,7 +655,7 @@ func TestEmptyRouter(t *testing.T) {
 // (internal/hashring has the property tests).
 func TestRingIsHashring(t *testing.T) {
 	c, _ := startCluster(t, 3, nil)
-	var r *hashring.Ring = c.Ring()
+	var r *hashring.Ring = c.ring.Load()
 	if r.Len() != 3 {
 		t.Fatalf("ring len = %d", r.Len())
 	}

@@ -220,9 +220,12 @@ func Fig11(scale float64, workers int) (map[float64][]AlgoSummary, error) {
 	for _, r := range SmallQueueRatios {
 		algos = append(algos, fmt.Sprintf("s3fifo-r%g", r))
 	}
-	results := RunEfficiency(EfficiencyConfig{
+	results, err := RunEfficiency(EfficiencyConfig{
 		Scale: scale, SizeFracs: []float64{0.10, 0.01}, Algorithms: algos, Workers: workers,
 	})
+	if err != nil {
+		return nil, err
+	}
 	out := map[float64][]AlgoSummary{}
 	for _, frac := range []float64{0.10, 0.01} {
 		out[frac] = Fig6Summaries(results, frac)
@@ -232,42 +235,38 @@ func Fig11(scale float64, workers int) (map[float64][]AlgoSummary, error) {
 
 // AdaptiveComparison runs S3-FIFO vs S3-FIFO-D over the corpus (§6.2.2)
 // and returns the reduction summaries.
-func AdaptiveComparison(scale float64, workers int) map[float64][]AlgoSummary {
-	results := RunEfficiency(EfficiencyConfig{
-		Scale: scale, SizeFracs: []float64{0.10}, Algorithms: []string{"fifo", "s3fifo", "s3fifo-d"},
-		Workers: workers,
-	})
-	return map[float64][]AlgoSummary{0.10: Fig6Summaries(results, 0.10)}
+func AdaptiveComparison(scale float64, workers int) (map[float64][]AlgoSummary, error) {
+	return corpusSummaries(scale, workers, "fifo", "s3fifo", "s3fifo-d")
 }
 
 // DesignAblation sweeps the two parameters DESIGN.md calls out beyond the
 // paper's own ablations: the S-to-M move threshold (Algorithm 1 uses
 // freq > 1, i.e. threshold 2) and the ghost queue's size relative to the
 // cache (the paper pins |G| = |M|).
-func DesignAblation(scale float64, workers int) map[float64][]AlgoSummary {
-	results := RunEfficiency(EfficiencyConfig{
-		Scale:     scale,
-		SizeFracs: []float64{0.10},
-		Algorithms: []string{
-			"fifo", "s3fifo",
-			"s3fifo-t1", "s3fifo-t2", "s3fifo-t3",
-			"s3fifo-g0.1", "s3fifo-g0.5", "s3fifo-g0.9", "s3fifo-g2",
-		},
-		Workers: workers,
-	})
-	return map[float64][]AlgoSummary{0.10: Fig6Summaries(results, 0.10)}
+func DesignAblation(scale float64, workers int) (map[float64][]AlgoSummary, error) {
+	return corpusSummaries(scale, workers,
+		"fifo", "s3fifo",
+		"s3fifo-t1", "s3fifo-t2", "s3fifo-t3",
+		"s3fifo-g0.1", "s3fifo-g0.5", "s3fifo-g0.9", "s3fifo-g2",
+	)
 }
 
 // AblationComparison runs the §6.3 queue-type ablations over the corpus.
-func AblationComparison(scale float64, workers int) map[float64][]AlgoSummary {
-	results := RunEfficiency(EfficiencyConfig{
-		Scale:     scale,
-		SizeFracs: []float64{0.10},
-		Algorithms: []string{
-			"fifo", "s3fifo", "s3fifo-lru-s", "s3fifo-lru-m",
-			"s3fifo-lru-both", "s3fifo-hit-promote", "s3fifo-sieve-m",
-		},
-		Workers: workers,
+func AblationComparison(scale float64, workers int) (map[float64][]AlgoSummary, error) {
+	return corpusSummaries(scale, workers,
+		"fifo", "s3fifo", "s3fifo-lru-s", "s3fifo-lru-m",
+		"s3fifo-lru-both", "s3fifo-hit-promote", "s3fifo-sieve-m",
+	)
+}
+
+// corpusSummaries runs algos over the corpus at the large cache size and
+// returns their reduction summaries.
+func corpusSummaries(scale float64, workers int, algos ...string) (map[float64][]AlgoSummary, error) {
+	results, err := RunEfficiency(EfficiencyConfig{
+		Scale: scale, SizeFracs: []float64{0.10}, Algorithms: algos, Workers: workers,
 	})
-	return map[float64][]AlgoSummary{0.10: Fig6Summaries(results, 0.10)}
+	if err != nil {
+		return nil, err
+	}
+	return map[float64][]AlgoSummary{0.10: Fig6Summaries(results, 0.10)}, nil
 }

@@ -1,9 +1,9 @@
 // Package harness drives the paper's evaluation end to end: it expands
-// the synthetic corpus, fans simulations out over the fault-tolerant
-// worker pool (internal/dist), and aggregates the figures' series. Both
-// cmd/sweep and the repository-level benchmarks are thin wrappers around
-// this package. The per-experiment index in DESIGN.md maps each figure
-// and table to the function here that regenerates it.
+// the synthetic corpus, fans simulations out over a bounded pool of
+// goroutines, and aggregates the figures' series. Both `s3sim fig` and
+// the repository-level benchmarks are thin wrappers around this package.
+// The per-experiment index in DESIGN.md maps each figure and table to the
+// function here that regenerates it.
 package harness
 
 import (
@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 
-	"s3fifo/internal/dist"
 	"s3fifo/internal/sim"
 	"s3fifo/internal/stats"
 	"s3fifo/internal/workload"
@@ -54,9 +53,10 @@ type EfficiencyConfig struct {
 	// ByteMode keeps object sizes and measures byte miss ratios with
 	// byte-based cache sizes (§5.2.3); otherwise sizes are unit.
 	ByteMode bool
-	// Workers for the dist pool (default NumCPU).
+	// Workers bounds how many simulations run at once (default NumCPU).
 	Workers int
-	// OnProgress is forwarded to the pool.
+	// OnProgress, when set, is called on RunEfficiency's goroutine after
+	// each (trace, size) task with the number done so far and the total.
 	OnProgress func(done, total int)
 }
 
@@ -86,35 +86,59 @@ func (c EfficiencyConfig) withDefaults() EfficiencyConfig {
 }
 
 // RunEfficiency replays the corpus through every algorithm at every cache
-// size. One pool task covers one (trace, size) pair so the generated
-// trace is shared across algorithms.
-func RunEfficiency(cfg EfficiencyConfig) []EfficiencyResult {
+// size. One task covers one (trace, size) pair so the generated trace is
+// shared across algorithms. Tasks run on cfg.Workers goroutines and their
+// results merge in task-ID order ("trace@size"), so sums over them do not
+// depend on scheduling. A simulation is a pure function of its inputs:
+// one that fails is a bug, and fails the run.
+func RunEfficiency(cfg EfficiencyConfig) ([]EfficiencyResult, error) {
 	cfg = cfg.withDefaults()
-	specs := workload.Corpus(cfg.Scale)
-
-	var tasks []dist.Task
-	for _, spec := range specs {
+	type task struct {
+		id   string
+		spec workload.TraceSpec
+		frac float64
+	}
+	var tasks []task
+	for _, spec := range workload.Corpus(cfg.Scale) {
 		for _, frac := range cfg.SizeFracs {
-			spec, frac := spec, frac
-			tasks = append(tasks, dist.Task{
-				ID: fmt.Sprintf("%s@%g", spec.Name(), frac),
-				Run: func() (any, error) {
-					return runOneTrace(spec, frac, cfg)
-				},
-			})
+			tasks = append(tasks, task{fmt.Sprintf("%s@%g", spec.Name(), frac), spec, frac})
 		}
 	}
-	results := dist.Run(tasks, dist.Options{Workers: cfg.Workers, OnProgress: cfg.OnProgress})
-	out := make([]EfficiencyResult, 0, len(results))
-	for _, r := range results {
-		if r.Err != nil || r.Value == nil {
-			continue
-		}
-		if er, ok := r.Value.(EfficiencyResult); ok && len(er.MissRatio) > 0 {
-			out = append(out, er)
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].id < tasks[j].id })
+
+	results := make([]EfficiencyResult, len(tasks))
+	errs := make([]error, len(tasks))
+	next := make(chan int, len(tasks))
+	for i := range tasks {
+		next <- i
+	}
+	close(next)
+	finished := make(chan struct{})
+	for range min(cfg.Workers, len(tasks)) {
+		go func() {
+			for i := range next {
+				results[i], errs[i] = runOneTrace(tasks[i].spec, tasks[i].frac, cfg)
+				finished <- struct{}{}
+			}
+		}()
+	}
+	for done := 1; done <= len(tasks); done++ {
+		<-finished
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(done, len(tasks))
 		}
 	}
-	return out
+
+	out := results[:0]
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("harness: %s: %w", tasks[i].id, errs[i])
+		}
+		if len(r.MissRatio) > 0 {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 func runOneTrace(spec workload.TraceSpec, frac float64, cfg EfficiencyConfig) (EfficiencyResult, error) {
@@ -250,11 +274,4 @@ func BestPerDataset(perDataset map[string]map[string]float64) (map[string]string
 		counts[best]++
 	}
 	return winners, counts
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

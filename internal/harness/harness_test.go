@@ -2,8 +2,12 @@ package harness
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"s3fifo/internal/workload"
 )
 
 // smallCfg keeps harness tests fast: a 2% corpus with a reduced
@@ -20,17 +24,22 @@ func smallCfg() EfficiencyConfig {
 var (
 	sharedOnce    sync.Once
 	sharedResults []EfficiencyResult
+	sharedErr     error
 )
 
 // sharedRun computes the small corpus run once and shares it across the
 // tests that only inspect aggregation.
-func sharedRun() []EfficiencyResult {
-	sharedOnce.Do(func() { sharedResults = RunEfficiency(smallCfg()) })
+func sharedRun(t *testing.T) []EfficiencyResult {
+	t.Helper()
+	sharedOnce.Do(func() { sharedResults, sharedErr = RunEfficiency(smallCfg()) })
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
+	}
 	return sharedResults
 }
 
 func TestRunEfficiencyBasics(t *testing.T) {
-	results := sharedRun()
+	results := sharedRun(t)
 	if len(results) == 0 {
 		t.Fatal("no results")
 	}
@@ -49,11 +58,61 @@ func TestRunEfficiencyBasics(t *testing.T) {
 	}
 }
 
+// TestDeterministicResultsUnderConcurrency: the worker count affects only
+// how long a run takes, never what it computes. Progress reaches every
+// (trace, size) task exactly once either way.
+func TestDeterministicResultsUnderConcurrency(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Scale = 0.01
+	tasks := len(workload.Corpus(cfg.Scale)) * len(cfg.SizeFracs)
+	run := func(workers int) []EfficiencyResult {
+		calls, last := 0, 0
+		cfg.Workers = workers
+		cfg.OnProgress = func(done, total int) {
+			calls++
+			last = done
+			if total != tasks {
+				t.Errorf("progress total %d, want %d", total, tasks)
+			}
+		}
+		results, err := RunEfficiency(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != tasks || last != tasks {
+			t.Errorf("%d workers: %d progress calls, last done %d; want %d", workers, calls, last, tasks)
+		}
+		return results
+	}
+	one, four := run(1), run(4)
+	if len(one) == 0 {
+		t.Fatal("no results")
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("results differ between 1 and 4 workers:\n%+v\n%+v", one, four)
+	}
+}
+
+// TestFailingSimulationFailsTheRun: a simulation is deterministic, so one
+// that fails is a bug to report, not a task to drop.
+func TestFailingSimulationFailsTheRun(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Scale = 0.01
+	cfg.Algorithms = []string{"fifo", "no-such-algo"}
+	results, err := RunEfficiency(cfg)
+	if err == nil || !strings.Contains(err.Error(), "no-such-algo") {
+		t.Fatalf("RunEfficiency = %d results, error %v; want the unknown algorithm's error", len(results), err)
+	}
+}
+
 func TestRunEfficiencyAddsFIFO(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Scale = 0.005
 	cfg.Algorithms = []string{"lru"}
-	results := RunEfficiency(cfg)
+	results, err := RunEfficiency(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range results {
 		if len(r.MissRatio) == 0 {
 			continue
@@ -65,7 +124,7 @@ func TestRunEfficiencyAddsFIFO(t *testing.T) {
 }
 
 func TestFig6SummariesShape(t *testing.T) {
-	results := sharedRun()
+	results := sharedRun(t)
 	sums := Fig6Summaries(results, 0.10)
 	if len(sums) != 3 { // lru, clock, s3fifo (fifo is the baseline)
 		t.Fatalf("got %d summaries", len(sums))
@@ -89,7 +148,7 @@ func TestFig6SummariesShape(t *testing.T) {
 }
 
 func TestFig7AndWinners(t *testing.T) {
-	results := sharedRun()
+	results := sharedRun(t)
 	per := Fig7PerDataset(results, 0.10)
 	if len(per) < 10 {
 		t.Fatalf("only %d datasets", len(per))
@@ -112,7 +171,7 @@ func TestFig7AndWinners(t *testing.T) {
 }
 
 func TestReductionsExcludesBaseline(t *testing.T) {
-	results := sharedRun()
+	results := sharedRun(t)
 	red := Reductions(results, 0.10)
 	if _, ok := red["fifo"]; ok {
 		t.Error("fifo must not appear in its own reduction set")
@@ -214,18 +273,27 @@ func TestFig10SmallRun(t *testing.T) {
 }
 
 func TestAdaptiveAndAblationRun(t *testing.T) {
-	a := AdaptiveComparison(0.01, 4)
+	a, err := AdaptiveComparison(0.01, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a[0.10]) != 2 {
 		t.Errorf("adaptive summaries: %v", a)
 	}
-	b := AblationComparison(0.01, 4)
+	b, err := AblationComparison(0.01, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(b[0.10]) != 6 {
 		t.Errorf("ablation summaries: %v", b)
 	}
 }
 
 func TestDesignAblationRuns(t *testing.T) {
-	out := DesignAblation(0.01, 4)
+	out, err := DesignAblation(0.01, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sums := out[0.10]
 	if len(sums) != 8 {
 		t.Fatalf("got %d design-ablation summaries", len(sums))
