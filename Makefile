@@ -40,7 +40,7 @@ tier1: build vet test race
 # Flag ceiling: s3cached may not register more than FLAG_CEILING flags.
 # A change that adds one raises the ceiling in its own diff and says why;
 # a change that deletes one lowers it.
-LOC_CEILING = 21007
+LOC_CEILING = 20896
 FLAG_CEILING = 20
 loc:
 	@n=$$(find . \( -path ./bench -o -path './.*' -o -name testdata \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \

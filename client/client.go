@@ -32,6 +32,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -453,135 +454,95 @@ func (c *Client) Delete(key string) (bool, error) {
 // ServerStats is the typed view of the server's counters. Flash fields
 // are zero when the server runs without a flash tier.
 type ServerStats struct {
-	Engine             string // serving engine: "concurrent" from s3cached, "policy" only from an embedding server
-	NodeID             string // cluster node identity (s3cached -node-id); "" when unset
-	TierKind           string // active second tier ("flash", "remote"); "" when DRAM-only
-	SnapshotAgeSeconds int64  // age of the snapshot last saved or restored; -1 when none
-	Hits               uint64 // DRAMHits + FlashHits
-	Misses             uint64
-	Sets               uint64
-	Evictions          uint64
-	Expired            uint64
-	DRAMHits           uint64
-	FlashHits          uint64
-	FlashBytesWritten  uint64
-	FlashGCBytes       uint64
-	FlashSegments      uint64
-	FlashEntries       uint64
-	Demotions          uint64
-	DemotionsDeclined  uint64
-	Promotions         uint64
-	Entries            uint64
-	Bytes              uint64
-	Capacity           uint64
+	Engine             string `stat:"engine"`               // serving engine: "concurrent" from s3cached, "policy" only from an embedding server
+	NodeID             string `stat:"node_id"`              // cluster node identity (s3cached -node-id); "" when unset
+	TierKind           string `stat:"tier_kind"`            // active second tier ("flash", "remote"); "" when DRAM-only
+	SnapshotAgeSeconds int64  `stat:"snapshot_age_seconds"` // age of the snapshot last saved or restored; -1 when none
+	Hits               uint64 `stat:"hits"`                 // DRAMHits + FlashHits
+	Misses             uint64 `stat:"misses"`
+	Sets               uint64 `stat:"sets"`
+	Evictions          uint64 `stat:"evictions"`
+	Expired            uint64 `stat:"expired"`
+	DRAMHits           uint64 `stat:"dram_hits"`
+	FlashHits          uint64 `stat:"flash_hits"`
+	FlashBytesWritten  uint64 `stat:"flash_bytes_written"`
+	FlashGCBytes       uint64 `stat:"flash_gc_bytes"`
+	FlashSegments      uint64 `stat:"flash_segments"`
+	FlashEntries       uint64 `stat:"flash_entries"`
+	Demotions          uint64 `stat:"demotions"`
+	DemotionsDeclined  uint64 `stat:"demotions_declined"`
+	Promotions         uint64 `stat:"promotions"`
+	Entries            uint64 `stat:"entries"`
+	Bytes              uint64 `stat:"bytes"`
+	Capacity           uint64 `stat:"capacity"`
 
 	// Flash health (DESIGN.md §10): breaker state and degraded-mode
 	// accounting.
-	FlashErrors          uint64
-	FlashDegraded        bool
-	FlashBreakerTrips    uint64
-	FlashBreakerRestores uint64
-	DemotionsDegraded    uint64
+	FlashErrors          uint64 `stat:"flash_errors"`
+	FlashDegraded        bool   `stat:"flash_degraded"`
+	FlashBreakerTrips    uint64 `stat:"flash_breaker_trips"`
+	FlashBreakerRestores uint64 `stat:"flash_breaker_restores"`
+	DemotionsDegraded    uint64 `stat:"demotions_degraded"`
 
 	// Server process stats (uptime and connection/command counters).
-	UptimeSeconds       uint64
-	CurrConnections     uint64
-	TotalConnections    uint64
-	RejectedConnections uint64
-	AcceptRetries       uint64
-	CmdGet              uint64
-	CmdSet              uint64
-	CmdDelete           uint64
-	CmdGetx             uint64
-	CmdSetx             uint64
+	UptimeSeconds       uint64 `stat:"uptime_seconds"`
+	CurrConnections     uint64 `stat:"curr_connections"`
+	TotalConnections    uint64 `stat:"total_connections"`
+	RejectedConnections uint64 `stat:"rejected_connections"`
+	AcceptRetries       uint64 `stat:"accept_retries"`
+	CmdGet              uint64 `stat:"cmd_get"`
+	CmdSet              uint64 `stat:"cmd_set"`
+	CmdDelete           uint64 `stat:"cmd_delete"`
+	CmdGetx             uint64 `stat:"cmd_getx"`
+	CmdSetx             uint64 `stat:"cmd_setx"`
 
 	// Anti-stampede counters (DESIGN.md §14). Lease/coalesce fields are
 	// zero when the server runs without WithAntiStampede.
-	StaleServed        uint64 // expired values served within the grace window
-	NegativeHits       uint64 // lookups answered from a negative tombstone
-	NegativeSets       uint64 // negative fills recorded
-	LeaseGrants        uint64
-	LeaseRegrants      uint64
-	LeaseRedeems       uint64
-	LeaseRejects       uint64
-	LeaseInvalidations uint64
-	CoalescedWaits     uint64
-	CoalesceOverflows  uint64
-	CoalesceInflight   uint64
+	StaleServed        uint64 `stat:"stale_served"`  // expired values served within the grace window
+	NegativeHits       uint64 `stat:"negative_hits"` // lookups answered from a negative tombstone
+	NegativeSets       uint64 `stat:"negative_sets"` // negative fills recorded
+	LeaseGrants        uint64 `stat:"lease_grants"`
+	LeaseRegrants      uint64 `stat:"lease_regrants"`
+	LeaseRedeems       uint64 `stat:"lease_redeems"`
+	LeaseRejects       uint64 `stat:"lease_rejects"`
+	LeaseInvalidations uint64 `stat:"lease_invalidations"`
+	CoalescedWaits     uint64 `stat:"coalesced_waits"`
+	CoalesceOverflows  uint64 `stat:"coalesce_overflows"`
+	CoalesceInflight   uint64 `stat:"coalesce_inflight"`
 }
 
-// ServerStats fetches the server's counters into a typed struct. Stat
-// names the client does not know are ignored, so old clients keep
-// working against newer servers and vice versa.
+// ServerStats fetches the server's counters into a typed struct, each
+// field from the STAT row its stat tag names. Stat names the client does
+// not know are ignored, so old clients keep working against newer
+// servers and vice versa.
 func (c *Client) ServerStats() (ServerStats, error) {
 	raw, err := c.StatsRaw()
 	if err != nil {
 		return ServerStats{}, err
 	}
-	m := map[string]uint64{}
-	for name, v := range raw {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			m[name] = n
+	st := ServerStats{SnapshotAgeSeconds: -1}
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		text, ok := raw[v.Type().Field(i).Tag.Get("stat")]
+		if !ok {
+			continue
+		}
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(text)
+		case reflect.Bool:
+			f.SetBool(text == "1")
+		case reflect.Int64:
+			if n, err := strconv.ParseInt(text, 10, 64); err == nil {
+				f.SetInt(n)
+			}
+		case reflect.Uint64:
+			if n, err := strconv.ParseUint(text, 10, 64); err == nil {
+				f.SetUint(n)
+			}
 		}
 	}
-	snapshotAge := int64(-1)
-	if v, ok := raw["snapshot_age_seconds"]; ok {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			snapshotAge = n
-		}
-	}
-	return ServerStats{
-		Engine:             raw["engine"],
-		NodeID:             raw["node_id"],
-		TierKind:           raw["tier_kind"],
-		SnapshotAgeSeconds: snapshotAge,
-		Hits:               m["hits"],
-		Misses:             m["misses"],
-		Sets:               m["sets"],
-		Evictions:          m["evictions"],
-		Expired:            m["expired"],
-		DRAMHits:           m["dram_hits"],
-		FlashHits:          m["flash_hits"],
-		FlashBytesWritten:  m["flash_bytes_written"],
-		FlashGCBytes:       m["flash_gc_bytes"],
-		FlashSegments:      m["flash_segments"],
-		FlashEntries:       m["flash_entries"],
-		Demotions:          m["demotions"],
-		DemotionsDeclined:  m["demotions_declined"],
-		Promotions:         m["promotions"],
-		Entries:            m["entries"],
-		Bytes:              m["bytes"],
-		Capacity:           m["capacity"],
-
-		FlashErrors:          m["flash_errors"],
-		FlashDegraded:        m["flash_degraded"] != 0,
-		FlashBreakerTrips:    m["flash_breaker_trips"],
-		FlashBreakerRestores: m["flash_breaker_restores"],
-		DemotionsDegraded:    m["demotions_degraded"],
-
-		UptimeSeconds:       m["uptime_seconds"],
-		CurrConnections:     m["curr_connections"],
-		TotalConnections:    m["total_connections"],
-		RejectedConnections: m["rejected_connections"],
-		AcceptRetries:       m["accept_retries"],
-		CmdGet:              m["cmd_get"],
-		CmdSet:              m["cmd_set"],
-		CmdDelete:           m["cmd_delete"],
-		CmdGetx:             m["cmd_getx"],
-		CmdSetx:             m["cmd_setx"],
-
-		StaleServed:        m["stale_served"],
-		NegativeHits:       m["negative_hits"],
-		NegativeSets:       m["negative_sets"],
-		LeaseGrants:        m["lease_grants"],
-		LeaseRegrants:      m["lease_regrants"],
-		LeaseRedeems:       m["lease_redeems"],
-		LeaseRejects:       m["lease_rejects"],
-		LeaseInvalidations: m["lease_invalidations"],
-		CoalescedWaits:     m["coalesced_waits"],
-		CoalesceOverflows:  m["coalesce_overflows"],
-		CoalesceInflight:   m["coalesce_inflight"],
-	}, nil
+	return st, nil
 }
 
 // Stats fetches the server's numeric counters as a name -> value map.
@@ -602,8 +563,9 @@ func (c *Client) Stats() (map[string]uint64, error) {
 	return out, nil
 }
 
-// parseStatPayload parses "STAT <name> <value>" lines (the binary stats
-// payload) into a map.
+// parseStatPayload parses "STAT <name> <value>" lines (the stats
+// payload) into a map. The value is the rest of the line, so it may hold
+// spaces (a node ID such as "rack 1").
 func parseStatPayload(payload []byte) (map[string]string, error) {
 	out := map[string]string{}
 	for _, line := range strings.Split(string(payload), "\n") {
@@ -611,8 +573,8 @@ func parseStatPayload(payload []byte) (map[string]string, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "STAT" {
+		fields := strings.SplitN(line, " ", 3)
+		if len(fields) != 3 || fields[0] != "STAT" || fields[1] == "" {
 			return nil, fmt.Errorf("client: malformed stat line %q", line)
 		}
 		out[fields[1]] = fields[2]
@@ -665,72 +627,42 @@ func parseKeysPayload(payload []byte) ([]KeySample, error) {
 // warm-up replays into a joining node. max <= 0 asks for the server's
 // default sample size.
 func (c *Client) Keys(max int) ([]KeySample, error) {
-	ttl := uint32(0) // the binary frame carries max in the TTL field
+	cmd, ttl := "keys", uint32(0) // the binary frame carries max in the TTL field
 	if max > 0 {
-		ttl = uint32(max)
+		cmd, ttl = fmt.Sprintf("keys %d", max), uint32(max)
 	}
-	if c.pipe != nil {
-		_, payload, err := c.pipe.roundTrip(proto.OpKeys, "", nil, ttl)
-		if err != nil {
-			return nil, err
-		}
-		return parseKeysPayload(payload)
-	}
-	var out []KeySample
-	err := c.do(func() error {
-		if max > 0 {
-			fmt.Fprintf(c.w, "keys %d\r\n", max)
-		} else {
-			fmt.Fprintf(c.w, "keys\r\n")
-		}
-		if err := c.w.Flush(); err != nil {
-			return err
-		}
-		out = nil
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			if line == "END" {
-				return nil
-			}
-			if strings.HasPrefix(line, "ERROR") {
-				return errFor(line)
-			}
-			fields := strings.SplitN(line, " ", 3)
-			if len(fields) != 3 || fields[0] != "KEY" {
-				return fmt.Errorf("client: malformed key line %q", line)
-			}
-			freq, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return fmt.Errorf("client: bad freq in %q", line)
-			}
-			out = append(out, KeySample{Key: fields[2], Freq: freq})
-		}
-	})
+	payload, err := c.listing(proto.OpKeys, cmd, ttl)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return parseKeysPayload(payload)
 }
 
 // StatsRaw fetches every STAT line verbatim as a name -> value map.
 func (c *Client) StatsRaw() (map[string]string, error) {
-	if c.pipe != nil {
-		_, payload, err := c.pipe.roundTrip(proto.OpStats, "", nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		return parseStatPayload(payload)
+	payload, err := c.listing(proto.OpStats, "stats", 0)
+	if err != nil {
+		return nil, err
 	}
-	var out map[string]string
+	return parseStatPayload(payload)
+}
+
+// listing sends a command that answers with a list of lines (stats or
+// keys) and returns those lines as one payload: the binary response's
+// value, or the text response's lines up to END. Both protocols thus
+// share one parser per command.
+func (c *Client) listing(op proto.Op, cmd string, ttl uint32) ([]byte, error) {
+	if c.pipe != nil {
+		_, payload, err := c.pipe.roundTrip(op, "", nil, ttl)
+		return payload, err
+	}
+	var payload []byte
 	err := c.do(func() error {
-		fmt.Fprintf(c.w, "stats\r\n")
+		fmt.Fprintf(c.w, "%s\r\n", cmd)
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
-		out = map[string]string{}
+		payload = payload[:0]
 		for {
 			line, err := c.readLine()
 			if err != nil {
@@ -742,15 +674,8 @@ func (c *Client) StatsRaw() (map[string]string, error) {
 			if strings.HasPrefix(line, "ERROR") {
 				return errFor(line)
 			}
-			fields := strings.Fields(line)
-			if len(fields) != 3 || fields[0] != "STAT" {
-				return fmt.Errorf("client: malformed stat line %q", line)
-			}
-			out[fields[1]] = fields[2]
+			payload = append(append(payload, line...), '\n')
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return payload, err
 }

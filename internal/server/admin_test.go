@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"bufio"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 
 	"s3fifo/cache"
 	"s3fifo/client"
+	"s3fifo/internal/proto"
 	"s3fifo/internal/server"
 	"s3fifo/internal/telemetry"
 )
@@ -251,5 +255,128 @@ func TestSlowOpLog(t *testing.T) {
 	}
 	if parsed["cache_slow_ops_total"] != 4 {
 		t.Errorf("cache_slow_ops_total = %v, want 4", parsed["cache_slow_ops_total"])
+	}
+}
+
+// TestStatNamesAgree turns on every conditional stats row (a flash tier,
+// anti-stampede, a node ID and a saved snapshot) and checks that the text
+// stats reply, the binary stats payload and /stats carry one set of
+// names, each once, and that every client.ServerStats field is filled
+// from a row the server emits.
+func TestStatNamesAgree(t *testing.T) {
+	c, err := cache.New(cache.Config{MaxBytes: 1 << 20, FlashDir: t.TempDir(), FlashBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(c, server.WithNodeID("node-1"), server.WithAntiStampede(server.AntiStampede{Coalesce: true}))
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+
+	// names collects the name of each STAT line, failing on a repeat.
+	names := func(surface string, lines []string) map[string]bool {
+		set := map[string]bool{}
+		for _, line := range lines {
+			fields := strings.SplitN(line, " ", 3)
+			if len(fields) != 3 || fields[0] != "STAT" {
+				t.Fatalf("%s: malformed line %q", surface, line)
+			}
+			if set[fields[1]] {
+				t.Errorf("%s: %s appears twice", surface, fields[1])
+			}
+			set[fields[1]] = true
+		}
+		return set
+	}
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	if _, err := conn.Write([]byte("stats\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line = strings.TrimRight(line, "\r\n"); line == "END" {
+			break
+		}
+		lines = append(lines, line)
+	}
+	text := names("text", lines)
+
+	bconn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bconn.Close()
+	if _, err := bconn.Write(proto.AppendRequest(nil, proto.OpStats, 0, 1, "", nil)); err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, proto.HeaderLen)
+	if _, err := io.ReadFull(bconn, head); err != nil {
+		t.Fatal(err)
+	}
+	h, err := proto.ParseResponseHeader(head)
+	if err != nil || h.Status != proto.StatusOK {
+		t.Fatalf("binary stats header = %+v, %v", h, err)
+	}
+	payload := make([]byte, h.ValueLen)
+	if _, err := io.ReadFull(bconn, payload); err != nil {
+		t.Fatal(err)
+	}
+	binary := names("binary", strings.Split(strings.TrimSuffix(string(payload), "\r\n"), "\r\n"))
+
+	admin := httptest.NewServer(server.AdminHandler(srv, nil))
+	defer admin.Close()
+	resp, err := http.Get(admin.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&js)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"node_id", "tier_kind", "snapshot_age_seconds", "lease_grants"} {
+		if !text[want] {
+			t.Errorf("conditional row %s missing", want)
+		}
+	}
+	jsNames := map[string]bool{}
+	for name := range js {
+		jsNames[name] = true
+	}
+	for surface, set := range map[string]map[string]bool{"binary payload": binary, "/stats JSON": jsNames} {
+		for name := range text {
+			if !set[name] {
+				t.Errorf("%s: in the text reply, not in the %s", name, surface)
+			}
+		}
+		for name := range set {
+			if !text[name] {
+				t.Errorf("%s: in the %s, not in the text reply", name, surface)
+			}
+		}
+	}
+	typ := reflect.TypeOf(client.ServerStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		if tag := typ.Field(i).Tag.Get("stat"); !text[tag] {
+			t.Errorf("client.ServerStats.%s reads row %q, which the server does not emit", typ.Field(i).Name, tag)
+		}
 	}
 }

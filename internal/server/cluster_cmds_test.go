@@ -4,6 +4,7 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -115,11 +116,11 @@ func TestKeysMaxClamped(t *testing.T) {
 	}
 }
 
-// TestServerStatsAllModes: the regression for the stats-over-binary
-// satellite — ServerStats (and the node id it carries) must come back
-// identically over text, sync binary, and pipelined connections.
+// TestServerStatsAllModes: ServerStats, StatsRaw and Stats come back
+// intact over text, sync binary, and pipelined connections, with a node
+// ID whose value holds a space.
 func TestServerStatsAllModes(t *testing.T) {
-	addr, _ := startServerOpts(t, cache.Config{}, WithNodeID("node-A"))
+	addr, _ := startServerOpts(t, cache.Config{}, WithNodeID("rack 1")) // a value with a space
 	for _, mode := range clientModes {
 		t.Run(mode.name, func(t *testing.T) {
 			c, err := client.DialOptions(addr, mode.opts)
@@ -134,8 +135,14 @@ func TestServerStatsAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.NodeID != "node-A" {
-				t.Errorf("NodeID = %q, want node-A", st.NodeID)
+			if st.NodeID != "rack 1" {
+				t.Errorf("NodeID = %q, want rack 1", st.NodeID)
+			}
+			if raw, err := c.StatsRaw(); err != nil || raw["node_id"] != "rack 1" {
+				t.Errorf("StatsRaw node_id = %q, %v", raw["node_id"], err)
+			}
+			if n, err := c.Stats(); err != nil || n["sets"] == 0 {
+				t.Errorf("Stats sets = %d, %v", n["sets"], err)
 			}
 			if st.Engine == "" {
 				t.Error("Engine missing from stats")
@@ -157,35 +164,37 @@ func TestNodeIDSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labeled := New(c, WithNodeID("10.0.0.7:11299"))
-	if got := labeled.statsJSON()["node_id"]; got != "10.0.0.7:11299" {
-		t.Errorf("statsJSON node_id = %v", got)
-	}
-	ts := httptest.NewServer(AdminHandler(labeled, nil))
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok node_id=10.0.0.7:11299\n" {
-		t.Errorf("/healthz = %q", body)
-	}
-
-	plain := New(c)
-	if _, ok := plain.statsJSON()["node_id"]; ok {
-		t.Error("unset node_id leaked into statsJSON")
-	}
-	ts2 := httptest.NewServer(AdminHandler(plain, nil))
-	defer ts2.Close()
-	resp2, err := ts2.Client().Get(ts2.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body2, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if string(body2) != "ok\n" {
-		t.Errorf("unlabeled /healthz = %q", body2)
+	for _, tc := range []struct {
+		srv     *Server
+		nodeID  any // the /stats node_id value; nil when absent
+		healthz string
+	}{
+		{New(c, WithNodeID("10.0.0.7:11299")), "10.0.0.7:11299", "ok node_id=10.0.0.7:11299\n"},
+		{New(c), nil, "ok\n"},
+	} {
+		ts := httptest.NewServer(AdminHandler(tc.srv, nil))
+		stats := map[string]any{}
+		resp, err := ts.Client().Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("/stats: %v", err)
+		}
+		if got := stats["node_id"]; got != tc.nodeID {
+			t.Errorf("/stats node_id = %v, want %v", got, tc.nodeID)
+		}
+		resp, err = ts.Client().Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if string(body) != tc.healthz {
+			t.Errorf("/healthz = %q, want %q", body, tc.healthz)
+		}
+		ts.Close()
 	}
 }

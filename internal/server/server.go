@@ -823,74 +823,96 @@ func (s *Server) writeKeys(w io.Writer, max int) {
 	}
 }
 
+// statRow is one served counter: its name, shared by the stats command,
+// the binary stats payload and /stats, and its value (a string or a
+// number).
+type statRow struct {
+	name  string
+	value any
+}
+
+// statRows builds the served counters once, in STAT line order. Every
+// stats surface renders this list, so their names cannot drift apart.
+func (s *Server) statRows() []statRow {
+	st := s.cache.Stats()
+	rows := []statRow{{"engine", s.cache.Engine()}}
+	if s.nodeID != "" {
+		rows = append(rows, statRow{"node_id", s.nodeID})
+	}
+	if st.TierKind != "" {
+		rows = append(rows, statRow{"tier_kind", st.TierKind})
+	}
+	if age, ok := snapshotAge(st.SnapshotUnixNano); ok {
+		rows = append(rows, statRow{"snapshot_age_seconds", age})
+	}
+	cmds := s.commands()
+	rows = append(rows,
+		statRow{"hits", st.Hits},
+		statRow{"misses", st.Misses},
+		statRow{"hit_ratio", st.HitRatio()},
+		statRow{"sets", st.Sets},
+		statRow{"evictions", st.Evictions},
+		statRow{"expired", st.Expired},
+		statRow{"dram_hits", st.DRAMHits},
+		statRow{"flash_hits", st.FlashHits},
+		statRow{"flash_bytes_written", st.FlashBytesWritten},
+		statRow{"flash_gc_bytes", st.FlashGCBytes},
+		statRow{"flash_segments", st.FlashSegments},
+		statRow{"flash_entries", st.FlashEntries},
+		statRow{"demotions", st.Demotions},
+		statRow{"demotions_declined", st.DemotionsDeclined},
+		statRow{"promotions", st.Promotions},
+		statRow{"entries", s.cache.Len()},
+		statRow{"bytes", s.cache.Used()},
+		statRow{"capacity", s.cache.Capacity()},
+		statRow{"heap_bytes", telemetry.HeapObjectsBytes()},
+		statRow{"uptime_seconds", int64(s.uptime().Seconds())},
+		statRow{"demotions_degraded", st.DemotionsDegraded},
+		statRow{"flash_errors", st.FlashErrors},
+		statRow{"flash_degraded", boolStat(st.FlashDegraded)},
+		statRow{"flash_breaker_trips", st.FlashBreakerTrips},
+		statRow{"flash_breaker_restores", st.FlashBreakerRestores},
+		statRow{"curr_connections", s.connsCurrent()},
+		statRow{"total_connections", s.connsTotal.Load()},
+		statRow{"rejected_connections", s.connsRejected.Load()},
+		statRow{"accept_retries", s.acceptRetries.Load()},
+		statRow{"cmd_get", cmds.all[verbGet]},
+		statRow{"cmd_set", cmds.all[verbSet]},
+		statRow{"cmd_delete", cmds.all[verbDelete]},
+		statRow{"cmd_getx", cmds.all[verbGetx]},
+		statRow{"cmd_setx", cmds.all[verbSetx]},
+		statRow{"cmd_get_binary", cmds.bin[verbGet]},
+		statRow{"cmd_set_binary", cmds.bin[verbSet]},
+		statRow{"cmd_delete_binary", cmds.bin[verbDelete]},
+		statRow{"binary_connections", s.connsBinary.Load()},
+		statRow{"stale_served", st.StaleServed},
+		statRow{"negative_hits", st.NegativeHits},
+		statRow{"negative_sets", st.NegativeSets},
+		statRow{"negative_entries", st.NegativeEntries},
+	)
+	if co := s.co; co != nil {
+		rows = append(rows,
+			statRow{"lease_grants", co.grants.Load()},
+			statRow{"lease_regrants", co.regrants.Load()},
+			statRow{"lease_redeems", co.redeems.Load()},
+			statRow{"lease_rejects", co.rejects.Load()},
+			statRow{"lease_invalidations", co.invalidations.Load()},
+			statRow{"coalesced_waits", co.waits.Load()},
+			statRow{"coalesced_wait_hits", co.waitHits.Load()},
+			statRow{"coalesced_wait_misses", co.waitMisses.Load()},
+			statRow{"coalesced_wait_timeouts", co.waitTimeouts.Load()},
+			statRow{"coalesce_overflows", co.overflows.Load()},
+			statRow{"coalesce_inflight", co.inflight()},
+		)
+	}
+	return rows
+}
+
 // writeStats renders the STAT lines (without the END terminator — the
 // text path appends it, the binary path ships the lines as a payload).
 func (s *Server) writeStats(w io.Writer) {
-	st := s.cache.Stats()
-	fmt.Fprintf(w, "STAT engine %s\r\n", s.cache.Engine())
-	if s.nodeID != "" {
-		fmt.Fprintf(w, "STAT node_id %s\r\n", s.nodeID)
-	}
-	if st.TierKind != "" {
-		fmt.Fprintf(w, "STAT tier_kind %s\r\n", st.TierKind)
-	}
-	if age, ok := snapshotAge(st.SnapshotUnixNano); ok {
-		fmt.Fprintf(w, "STAT snapshot_age_seconds %d\r\n", age)
-	}
-	fmt.Fprintf(w, "STAT hits %d\r\n", st.Hits)
-	fmt.Fprintf(w, "STAT misses %d\r\n", st.Misses)
-	fmt.Fprintf(w, "STAT sets %d\r\n", st.Sets)
-	fmt.Fprintf(w, "STAT evictions %d\r\n", st.Evictions)
-	fmt.Fprintf(w, "STAT expired %d\r\n", st.Expired)
-	fmt.Fprintf(w, "STAT dram_hits %d\r\n", st.DRAMHits)
-	fmt.Fprintf(w, "STAT flash_hits %d\r\n", st.FlashHits)
-	fmt.Fprintf(w, "STAT flash_bytes_written %d\r\n", st.FlashBytesWritten)
-	fmt.Fprintf(w, "STAT flash_gc_bytes %d\r\n", st.FlashGCBytes)
-	fmt.Fprintf(w, "STAT flash_segments %d\r\n", st.FlashSegments)
-	fmt.Fprintf(w, "STAT flash_entries %d\r\n", st.FlashEntries)
-	fmt.Fprintf(w, "STAT demotions %d\r\n", st.Demotions)
-	fmt.Fprintf(w, "STAT demotions_declined %d\r\n", st.DemotionsDeclined)
-	fmt.Fprintf(w, "STAT promotions %d\r\n", st.Promotions)
-	fmt.Fprintf(w, "STAT entries %d\r\n", s.cache.Len())
-	fmt.Fprintf(w, "STAT bytes %d\r\n", s.cache.Used())
-	fmt.Fprintf(w, "STAT capacity %d\r\n", s.cache.Capacity())
-	fmt.Fprintf(w, "STAT heap_bytes %d\r\n", telemetry.HeapObjectsBytes())
-	fmt.Fprintf(w, "STAT uptime_seconds %d\r\n", int64(s.uptime().Seconds()))
-	fmt.Fprintf(w, "STAT demotions_degraded %d\r\n", st.DemotionsDegraded)
-	fmt.Fprintf(w, "STAT flash_errors %d\r\n", st.FlashErrors)
-	fmt.Fprintf(w, "STAT flash_degraded %d\r\n", boolStat(st.FlashDegraded))
-	fmt.Fprintf(w, "STAT flash_breaker_trips %d\r\n", st.FlashBreakerTrips)
-	fmt.Fprintf(w, "STAT flash_breaker_restores %d\r\n", st.FlashBreakerRestores)
-	fmt.Fprintf(w, "STAT curr_connections %d\r\n", s.connsCurrent())
-	fmt.Fprintf(w, "STAT total_connections %d\r\n", s.connsTotal.Load())
-	fmt.Fprintf(w, "STAT rejected_connections %d\r\n", s.connsRejected.Load())
-	fmt.Fprintf(w, "STAT accept_retries %d\r\n", s.acceptRetries.Load())
-	cmds := s.commands()
-	fmt.Fprintf(w, "STAT cmd_get %d\r\n", cmds.all[verbGet])
-	fmt.Fprintf(w, "STAT cmd_set %d\r\n", cmds.all[verbSet])
-	fmt.Fprintf(w, "STAT cmd_delete %d\r\n", cmds.all[verbDelete])
-	fmt.Fprintf(w, "STAT cmd_getx %d\r\n", cmds.all[verbGetx])
-	fmt.Fprintf(w, "STAT cmd_setx %d\r\n", cmds.all[verbSetx])
-	fmt.Fprintf(w, "STAT cmd_get_binary %d\r\n", cmds.bin[verbGet])
-	fmt.Fprintf(w, "STAT cmd_set_binary %d\r\n", cmds.bin[verbSet])
-	fmt.Fprintf(w, "STAT cmd_delete_binary %d\r\n", cmds.bin[verbDelete])
-	fmt.Fprintf(w, "STAT binary_connections %d\r\n", s.connsBinary.Load())
-	fmt.Fprintf(w, "STAT stale_served %d\r\n", st.StaleServed)
-	fmt.Fprintf(w, "STAT negative_hits %d\r\n", st.NegativeHits)
-	fmt.Fprintf(w, "STAT negative_sets %d\r\n", st.NegativeSets)
-	fmt.Fprintf(w, "STAT negative_entries %d\r\n", st.NegativeEntries)
-	if co := s.co; co != nil {
-		fmt.Fprintf(w, "STAT lease_grants %d\r\n", co.grants.Load())
-		fmt.Fprintf(w, "STAT lease_regrants %d\r\n", co.regrants.Load())
-		fmt.Fprintf(w, "STAT lease_redeems %d\r\n", co.redeems.Load())
-		fmt.Fprintf(w, "STAT lease_rejects %d\r\n", co.rejects.Load())
-		fmt.Fprintf(w, "STAT lease_invalidations %d\r\n", co.invalidations.Load())
-		fmt.Fprintf(w, "STAT coalesced_waits %d\r\n", co.waits.Load())
-		fmt.Fprintf(w, "STAT coalesced_wait_hits %d\r\n", co.waitHits.Load())
-		fmt.Fprintf(w, "STAT coalesced_wait_misses %d\r\n", co.waitMisses.Load())
-		fmt.Fprintf(w, "STAT coalesced_wait_timeouts %d\r\n", co.waitTimeouts.Load())
-		fmt.Fprintf(w, "STAT coalesce_overflows %d\r\n", co.overflows.Load())
-		fmt.Fprintf(w, "STAT coalesce_inflight %d\r\n", co.inflight())
+	for _, r := range s.statRows() {
+		fmt.Fprintf(w, "STAT %s %v\r\n", r.name, r.value)
 	}
 }
 

@@ -32,7 +32,7 @@ var Profiles = []Profile{
 	// Block workloads: moderate skew, scan/loop content, high
 	// one-hit-wonder ratios on sub-sequences (MSR 0.56 full / 0.74 @10%).
 	// Parameters were calibrated against the Table 1 targets with
-	// cmd/onehit -mode table1 (see EXPERIMENTS.md for measured values).
+	// s3sim onehit -mode table1 (see EXPERIMENTS.md for measured values).
 	{Name: "msr", CacheType: "block", Traces: 4, Target: [3]float64{0.56, 0.74, 0.86},
 		Base: Config{Objects: 80_000, Requests: 1_000_000, Alpha: 0.8, OneHitFraction: 0.046, ScanFraction: 0.04, LoopFraction: 0.02, TemporalBias: 0.25, TemporalDepth: 512}},
 	{Name: "fiu", CacheType: "block", Traces: 3, Target: [3]float64{0.28, 0.91, 0.91},
