@@ -18,13 +18,15 @@ test:
 # and the lock-free ring the optimized LRU builds on, telemetry (hammered while scraped),
 # the TCP server with the miss coalescer and leases, the fault-injecting
 # filesystem and both on-disk stores on it (the flash tier, and the file
-# store the benchmark's tier-file rungs drive), the cache facade (breaker
-# prober, Save/Close), the client, the hash ring and cluster router, the
-# harness (its herd test drives the anti-stampede server over TCP), and
-# the root end-to-end tests (flash outage, restart).
+# store the benchmark's tier-file rungs drive), the circuit breaker both
+# degradable layers share (its prober against trips, restores and Close),
+# the cache facade (breaker probe, Save/Close), the client, the hash ring
+# and cluster router, the harness (its herd test drives the anti-stampede
+# server over TCP), and the root end-to-end tests (flash outage, restart).
 RACE_PKGS = ./internal/concurrent/... ./internal/lockfree/... ./internal/telemetry/... \
 	./internal/server/... ./internal/faultfs/... ./internal/flash/... ./internal/filetier/... \
-	./internal/hashring/... ./internal/harness/... ./cache/... ./client/... ./cluster/... .
+	./internal/hashring/... ./internal/harness/... ./internal/breaker/... ./cache/... ./client/... \
+	./cluster/... .
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -40,7 +42,7 @@ tier1: build vet test race
 # Flag ceiling: s3cached may not register more than FLAG_CEILING flags.
 # A change that adds one raises the ceiling in its own diff and says why;
 # a change that deletes one lowers it.
-LOC_CEILING = 20896
+LOC_CEILING = 20889
 FLAG_CEILING = 20
 loc:
 	@n=$$(find . \( -path ./bench -o -path './.*' -o -name testdata \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l); \

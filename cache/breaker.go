@@ -1,13 +1,15 @@
-// The second-tier circuit breaker: graceful degradation when the
+// The second tier's circuit breaker: graceful degradation when the
 // backend under the tier misbehaves. A cache must never let a sick
 // device (or peer) take down serving — the second tier is an
 // optimization, DRAM is the product — so after a run of consecutive
 // tier I/O errors the cache trips into degraded, DRAM-only mode:
 // demotions are dropped (counted, not retried), tier reads are
 // bypassed, and a background prober retries the backend with
-// exponential backoff until it answers again. The breaker is generic
-// over the Tier interface (tier.go): the same machinery guards the
-// flash store and a remote peer alike.
+// exponential backoff until it answers again. The state machine (count,
+// trip, probe, restore) is internal/breaker's, the same one the cluster
+// router's nodes use; this file is the layer over it that keeps the tier
+// consistent across an outage, generic over the Tier interface
+// (tier.go): it guards the flash store and a remote peer alike.
 //
 // Consistency across the outage is the subtle part. While degraded, a
 // Set or Delete cannot tombstone the key's tier copy (that would hammer
@@ -25,132 +27,56 @@
 package cache
 
 import (
-	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
+
+	"s3fifo/internal/breaker"
 )
 
-const (
-	// defaultBreakerThreshold is the consecutive-error count that trips
-	// the breaker when Config.FlashBreakerThreshold is zero.
-	defaultBreakerThreshold = 3
-	// defaultRetryMin/Max bound the background probe backoff.
-	defaultRetryMin = 100 * time.Millisecond
-	defaultRetryMax = 30 * time.Second
-	// maxDirtyKeys bounds the superseded-while-degraded set; beyond it
-	// the restore path wipes the store instead of tombstoning key by key.
-	maxDirtyKeys = 1 << 16
-)
+// maxDirtyKeys bounds the superseded-while-degraded set; beyond it the
+// restore path wipes the store instead of tombstoning key by key.
+const maxDirtyKeys = 1 << 16
 
-// breaker is the second tier's circuit breaker. All entry points are
-// safe for concurrent use; the hot-path cost while the circuit is closed
-// is one atomic load (available) or store (note success).
-type breaker struct {
-	tier      Tier
-	enabled   bool          // false: errors are counted but never trip
-	threshold uint64        // consecutive errors that trip the circuit
-	retryMin  time.Duration // first probe delay after a trip
-	retryMax  time.Duration // backoff cap
+// tierBreaker is the second tier's circuit breaker: internal/breaker's
+// circuit, with Tier.Sync and the restore sweep as its probe. All entry
+// points are safe for concurrent use.
+type tierBreaker struct {
+	breaker.Breaker
+	tier Tier
 
-	degraded    atomic.Bool
-	consecutive atomic.Uint64
-	errors      atomic.Uint64 // every tier I/O error observed, incl. probes
-	trips       atomic.Uint64
-	restores    atomic.Uint64
-
+	// mu guards the dirty set. The circuit closes only under mu, with the
+	// set drained (restore), so a key can never fall between "too late to
+	// tombstone now" and "missed by the restore sweep".
 	mu            sync.Mutex
 	dirty         map[string]struct{} // keys superseded while degraded
 	dirtyOverflow bool                // dirty set overflowed: wipe on restore
 	closed        bool
-	stop          chan struct{}
-	wg            sync.WaitGroup
 }
 
-// newBreaker builds the breaker for tier from the facade config.
+// newTierBreaker builds the breaker for tier from the facade config.
 // threshold semantics: 0 = default, negative = disabled (errors are
 // still counted for telemetry, but the cache never degrades).
-func newBreaker(tier Tier, threshold int, retryMin, retryMax time.Duration) *breaker {
-	b := &breaker{
-		tier:     tier,
-		enabled:  threshold >= 0,
-		retryMin: retryMin,
-		retryMax: retryMax,
-		stop:     make(chan struct{}),
-	}
+func newTierBreaker(tier Tier, cfg Config) *tierBreaker {
+	threshold := cfg.FlashBreakerThreshold
 	if threshold == 0 {
-		threshold = defaultBreakerThreshold
+		threshold = breaker.DefaultThreshold
 	}
-	if threshold > 0 {
-		b.threshold = uint64(threshold)
-	}
-	if b.retryMin <= 0 {
-		b.retryMin = defaultRetryMin
-	}
-	if b.retryMax <= 0 {
-		b.retryMax = defaultRetryMax
-	}
-	if b.retryMax < b.retryMin {
-		b.retryMax = b.retryMin
-	}
+	b := &tierBreaker{tier: tier}
+	b.Breaker = breaker.New(threshold, cfg.FlashRetryMin, cfg.FlashRetryMax, b.probe)
 	return b
-}
-
-// available reports whether the second tier should be used: one atomic
-// load on every tier-adjacent operation.
-func (b *breaker) available() bool { return !b.degraded.Load() }
-
-// note records the outcome of one tier backend operation. A success
-// closes the consecutive-error window; the threshold'th consecutive
-// error trips the circuit. ErrEntryTooLarge is a per-entry decline, not
-// a health signal, and is ignored.
-func (b *breaker) note(err error) {
-	if err == nil {
-		b.consecutive.Store(0)
-		return
-	}
-	if errors.Is(err, ErrEntryTooLarge) {
-		return
-	}
-	b.errors.Add(1)
-	if !b.enabled || b.degraded.Load() {
-		return
-	}
-	if b.consecutive.Add(1) >= b.threshold {
-		b.trip()
-	}
-}
-
-// trip opens the circuit and starts the background prober.
-func (b *breaker) trip() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || b.degraded.Load() {
-		return
-	}
-	b.degraded.Store(true)
-	b.trips.Add(1)
-	if b.dirty == nil && !b.dirtyOverflow {
-		b.dirty = make(map[string]struct{})
-	}
-	b.wg.Add(1)
-	go b.retryLoop()
 }
 
 // markDirtyIfDegraded is the Set/Delete supersession gate. While the
 // circuit is open it records key as superseded (to be tombstoned before
-// restore) and returns true — the caller must skip its flash I/O. While
-// closed it returns false. The degraded flag only flips to false under
-// mu with the dirty set drained, so a key can never fall between "too
-// late to tombstone now" and "missed by the restore sweep".
-func (b *breaker) markDirtyIfDegraded(key string) bool {
-	if b.available() {
+// restore) and returns true — the caller must skip its tier I/O. While
+// closed it returns false.
+func (b *tierBreaker) markDirtyIfDegraded(key string) bool {
+	if b.Available() {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.available() {
+	if b.Available() {
 		return false // restored while we took the lock: caller proceeds
 	}
 	if b.dirtyOverflow {
@@ -161,60 +87,41 @@ func (b *breaker) markDirtyIfDegraded(key string) bool {
 		b.dirty = nil
 		return true
 	}
+	if b.dirty == nil {
+		b.dirty = make(map[string]struct{})
+	}
 	if _, ok := b.dirty[key]; !ok {
 		b.dirty[strings.Clone(key)] = struct{}{} // a Delete's key is the caller's to reuse
 	}
 	return true
 }
 
-// retryLoop probes the flash store with exponential backoff until a probe
-// succeeds and the restore sweep completes, or the cache closes.
-func (b *breaker) retryLoop() {
-	defer b.wg.Done()
-	backoff := b.retryMin
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-time.After(backoff):
-		}
-		if backoff < b.retryMax {
-			backoff *= 2
-			if backoff > b.retryMax {
-				backoff = b.retryMax
-			}
-		}
-		// The probe: Tier.Sync (the flash store syncs its active segment,
-		// the remote tier pings its peer). It exercises real backend I/O;
-		// a backend that fails only on writes will pass the probe and
-		// re-trip on the next demotion, which the backoff reset makes a
-		// slow, bounded flap.
-		if err := b.tier.Sync(); err != nil {
-			b.errors.Add(1)
-			continue
-		}
-		if b.restore() {
-			return
-		}
+// probe is the prober's health check, then the restore sweep. Tier.Sync
+// (the flash store syncs its active segment, the remote tier pings its
+// peer) exercises real backend I/O; a backend that fails only on writes
+// will pass it and re-trip on the next demotion, which the backoff reset
+// makes a slow, bounded flap.
+func (b *tierBreaker) probe() error {
+	if err := b.tier.Sync(); err != nil {
+		return err
 	}
+	return b.restore()
 }
 
 // restore drains the dirty set (or wipes the tier after overflow) and
-// closes the circuit. It returns false when disk errors interrupt the
-// sweep — the caller goes back to backoff with the remaining dirty keys
-// intact.
-func (b *breaker) restore() bool {
+// closes the circuit. A backend error interrupts the sweep: the remaining
+// dirty keys stay for the next probe.
+func (b *tierBreaker) restore() error {
 	for {
 		b.mu.Lock()
 		if b.closed {
 			b.mu.Unlock()
-			return true
+			return nil
 		}
 		if b.dirtyOverflow {
 			b.mu.Unlock()
 			if err := b.tier.Reset(); err != nil {
-				b.errors.Add(1)
-				return false
+				return err
 			}
 			b.mu.Lock()
 			// Everything in the tier is gone, so every superseded copy is
@@ -225,11 +132,9 @@ func (b *breaker) restore() bool {
 			continue
 		}
 		if len(b.dirty) == 0 {
-			b.degraded.Store(false)
-			b.consecutive.Store(0)
-			b.restores.Add(1)
+			b.Restore()
 			b.mu.Unlock()
-			return true
+			return nil
 		}
 		keys := make([]string, 0, len(b.dirty))
 		for k := range b.dirty {
@@ -238,8 +143,7 @@ func (b *breaker) restore() bool {
 		b.mu.Unlock()
 		for _, k := range keys {
 			if _, err := b.tier.Delete(k); err != nil {
-				b.errors.Add(1)
-				return false // k stays dirty; retried after backoff
+				return err // k stays dirty
 			}
 			b.mu.Lock()
 			delete(b.dirty, k)
@@ -248,17 +152,12 @@ func (b *breaker) restore() bool {
 	}
 }
 
-// close stops the background prober and waits for it to exit. Called by
-// Cache.Close before the tier is closed, so the prober can never touch
-// a closed backend.
-func (b *breaker) close() {
+// close ends a restore sweep in progress and stops the prober. Called by
+// Cache.Close before the tier is closed, so the prober can never touch a
+// closed backend.
+func (b *tierBreaker) close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
 	b.closed = true
-	close(b.stop)
 	b.mu.Unlock()
-	b.wg.Wait()
+	b.Close()
 }

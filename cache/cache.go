@@ -409,52 +409,50 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		}
 		return v, true
 	}
+	v, state := c.getMiss(key, ops, start)
+	return v, state == LookupHit
+}
+
+// getMiss is the lookup path after an engine miss, shared by Get and
+// GetEx: the negative table, the breaker check, the tier read and
+// promotion. It counts the miss and ends a timed lookup.
+func (c *Cache) getMiss(key string, ops *opStripe, start time.Time) ([]byte, LookupState) {
+	state := LookupMiss
 	// A confirmed-missing tombstone answers before any tier I/O: the
 	// negative cache exists precisely to keep repeated misses for absent
-	// keys off the slower layers.
+	// keys off the slower layers. A degraded tier is bypassed entirely:
+	// its index may hold copies superseded during the outage, and the
+	// backend under it is presumed sick.
 	if c.neg.hit(key, now().UnixNano()) {
 		c.negativeHits.Add(1)
-		ops.misses.Add(1)
-		if !start.IsZero() {
-			c.metrics.end("get", key, start, "miss")
+		state = LookupNegative
+	} else if c.tier != nil && c.tier.available() {
+		// The tier lookup runs outside any engine lock: it is disk or
+		// network I/O. Its outcome feeds the breaker — a run of read
+		// errors (a dead disk, an unreachable peer) must trip degraded
+		// mode even if no demotion happens to be in flight.
+		//
+		// The facade re-judges the returned expiry against the shared
+		// clock (expiredAt): a key that expired while its demotion was in
+		// flight reaches the tier with its deadline intact, and the tier
+		// backend's own expiry handling must not be the only defense (a
+		// mock tier, or a backend with a skewed clock, would otherwise
+		// serve it — see TestExpiryBoundary*).
+		v, expires, ok, err := c.tier.t.Get(key)
+		c.tier.br.Note(err)
+		if ok && !expiredAt(expires, now().UnixNano()) {
+			c.promote(key, v, expires)
+			if !start.IsZero() {
+				c.metrics.end("get", key, start, "flash")
+			}
+			return v, LookupHit
 		}
-		return nil, false
 	}
-	if c.tier == nil || !c.tier.available() {
-		// No second tier, or the tier is degraded: a degraded tier is
-		// bypassed entirely — its index may hold copies superseded during
-		// the outage, and the backend under it is presumed sick.
-		ops.misses.Add(1)
-		if !start.IsZero() {
-			c.metrics.end("get", key, start, "miss")
-		}
-		return nil, false
-	}
-	// The tier lookup runs outside any engine lock: it is disk or
-	// network I/O. Its outcome feeds the breaker — a run of read errors
-	// (a dead disk, an unreachable peer) must trip degraded mode even if
-	// no demotion happens to be in flight.
-	//
-	// The facade re-judges the returned expiry against the shared clock
-	// (expiredAt): a key that expired while its demotion was in flight
-	// reaches the tier with its deadline intact, and the tier backend's
-	// own expiry handling must not be the only defense (a mock tier, or a
-	// backend with a skewed clock, would otherwise serve it — see
-	// TestExpiryBoundary*).
-	v, expires, ok, err := c.tier.t.Get(key)
-	c.tier.br.note(err)
-	if !ok || expiredAt(expires, now().UnixNano()) {
-		ops.misses.Add(1)
-		if !start.IsZero() {
-			c.metrics.end("get", key, start, "miss")
-		}
-		return nil, false
-	}
-	c.promote(key, v, expires)
+	ops.misses.Add(1)
 	if !start.IsZero() {
-		c.metrics.end("get", key, start, "flash")
+		c.metrics.end("get", key, start, "miss")
 	}
-	return v, true
+	return nil, state
 }
 
 // promote inserts a flash-hit value back into DRAM. Add, not Set: a
@@ -496,40 +494,35 @@ const (
 // copy carries the same deadline and cannot be fresher than the resident
 // one.
 func (c *Cache) GetEx(key string, grace time.Duration) ([]byte, LookupState) {
+	// Timed like Get, on the same sampling counters and as op="get".
 	ops := c.ops.local()
-	nowNano := now().UnixNano()
-	if v, exp, ok := c.engine.GetStale(key); ok {
-		if !expiredAt(exp, nowNano) {
-			ops.dramHits.Add(1)
-			return v, LookupHit
-		}
-		if grace > 0 && !expiredAt(exp+int64(grace), nowNano) {
-			c.staleServed.Add(1)
-			return v, LookupStale
-		}
+	m := c.metrics
+	var start time.Time
+	if m != nil && (m.everyOp || (ops.dramHits.Load()+ops.misses.Load())&opSampleMask == 0) {
+		start = time.Now()
+	}
+	v, exp, ok := c.engine.GetStale(key)
+	if !ok {
+		return c.getMiss(key, ops, start)
+	}
+	nowNano, state, tier := now().UnixNano(), LookupHit, "dram"
+	switch {
+	case !expiredAt(exp, nowNano):
+		ops.dramHits.Add(1)
+	case grace > 0 && !expiredAt(exp+int64(grace), nowNano):
+		c.staleServed.Add(1)
+		state = LookupStale
+	default:
 		// Beyond grace: reap through the plain lookup path (which treats
 		// the expired entry exactly as Get would) and report a miss.
 		c.engine.Get(key)
 		ops.misses.Add(1)
-		return nil, LookupMiss
+		v, state, tier = nil, LookupMiss, "miss"
 	}
-	if c.neg.hit(key, nowNano) {
-		c.negativeHits.Add(1)
-		ops.misses.Add(1)
-		return nil, LookupNegative
+	if !start.IsZero() {
+		m.end("get", key, start, tier)
 	}
-	if c.tier == nil || !c.tier.available() {
-		ops.misses.Add(1)
-		return nil, LookupMiss
-	}
-	v, expires, ok, err := c.tier.t.Get(key)
-	c.tier.br.note(err)
-	if !ok || expiredAt(expires, now().UnixNano()) {
-		ops.misses.Add(1)
-		return nil, LookupMiss
-	}
-	c.promote(key, v, expires)
-	return v, LookupHit
+	return v, state
 }
 
 // SetNegative tombstones key as confirmed-missing for ttl: until it
@@ -675,10 +668,10 @@ func (c *Cache) Stats() Stats {
 		out.FlashGCBytes = tst.GCBytes
 		out.FlashSegments = tst.Segments
 		out.FlashEntries = tst.Entries
-		out.FlashErrors = c.tier.br.errors.Load()
+		out.FlashErrors = c.tier.br.Errors()
 		out.FlashDegraded = !c.tier.available()
-		out.FlashBreakerTrips = c.tier.br.trips.Load()
-		out.FlashBreakerRestores = c.tier.br.restores.Load()
+		out.FlashBreakerTrips = c.tier.br.Trips()
+		out.FlashBreakerRestores = c.tier.br.Restores()
 		out.DemotionsDegraded = atomic.LoadUint64(&c.tier.dropped)
 	}
 	return out

@@ -132,6 +132,7 @@ func (s *policyShard) evicted(ev policy.Eviction) {
 			Size:      ev.Size,
 			Freq:      ev.Freq,
 			ExpiresAt: e.expiresAt,
+			Main:      ev.Queue == policy.QueueMain,
 		})
 	}
 }

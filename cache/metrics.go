@@ -222,7 +222,7 @@ func registerFlashFuncs(reg *telemetry.Registry, c *Cache) {
 	// or a rising trip rate.
 	reg.CounterFunc("cache_flash_errors_total",
 		"Flash I/O errors observed, including background probes.",
-		nil, func() uint64 { return t.br.errors.Load() })
+		nil, func() uint64 { return t.br.Errors() })
 	reg.GaugeFunc("cache_flash_degraded",
 		"1 while the flash breaker is open and the cache serves DRAM-only.",
 		nil, func() float64 {
@@ -234,7 +234,7 @@ func registerFlashFuncs(reg *telemetry.Registry, c *Cache) {
 	evLbl := func(v string) telemetry.Labels { return telemetry.Labels{{Key: "event", Value: v}} }
 	brHelp := "Flash breaker state transitions: trip (degraded) and restore (healthy)."
 	reg.CounterFunc("cache_flash_breaker_events_total", brHelp, evLbl("trip"),
-		func() uint64 { return t.br.trips.Load() })
+		func() uint64 { return t.br.Trips() })
 	reg.CounterFunc("cache_flash_breaker_events_total", brHelp, evLbl("restore"),
-		func() uint64 { return t.br.restores.Load() })
+		func() uint64 { return t.br.Restores() })
 }

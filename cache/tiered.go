@@ -24,7 +24,7 @@ import (
 type secondTier struct {
 	t   Tier
 	adm admitter
-	br  *breaker
+	br  *tierBreaker
 
 	demoted      uint64 // written to the tier at DRAM eviction
 	demotedClean uint64 // admitted, but a valid tier copy already existed
@@ -35,15 +35,16 @@ type secondTier struct {
 
 // available reports whether the second tier is currently serving
 // (breaker closed).
-func (t *secondTier) available() bool { return t.br.available() }
+func (t *secondTier) available() bool { return t.br.Available() }
 
 // admitter decides which entries are worth a tier write. Implementations
 // must be safe for concurrent use: shards call them under their own locks.
 type admitter interface {
 	name() string
-	// admitEvicted decides at DRAM-eviction time; freq is the entry's
-	// hit count while resident (the policy's frequency-at-eviction).
-	admitEvicted(id uint64, size uint32, freq int) bool
+	// admitEvicted decides at DRAM-eviction time; reused says the entry
+	// proved reuse while resident: it was hit, or it left the main queue
+	// (it was hit in S to get there).
+	admitEvicted(id uint64, size uint32, reused bool) bool
 	// admitInsert decides at Set time whether the new value should be
 	// written through to the tier immediately (ghost re-request).
 	admitInsert(id uint64, size uint32) bool
@@ -110,7 +111,7 @@ func newSecondTier(cfg Config) (*secondTier, error) {
 		return nil, err
 	}
 
-	br := newBreaker(tier, cfg.FlashBreakerThreshold, cfg.FlashRetryMin, cfg.FlashRetryMax)
+	br := newTierBreaker(tier, cfg)
 	return &secondTier{t: tier, adm: mk(cfg), br: br}, nil
 }
 
@@ -125,13 +126,13 @@ func (t *secondTier) demote(ev EngineEviction) bool {
 	}
 	// Degraded mode: the entry leaves the cache entirely rather than
 	// touching a backend the breaker has declared sick.
-	if !t.br.available() {
+	if !t.br.Available() {
 		atomic.AddUint64(&t.dropped, 1)
 		return false
 	}
 	// Admission IDs are hashed from the key so admitEvicted and
 	// admitInsert agree on identity regardless of the serving engine.
-	if !t.adm.admitEvicted(hashString(key), ev.Size, ev.Freq) {
+	if !t.adm.admitEvicted(hashString(key), ev.Size, ev.Freq >= 1 || ev.Main) {
 		atomic.AddUint64(&t.declined, 1)
 		return false
 	}
@@ -148,7 +149,7 @@ func (t *secondTier) demote(ev EngineEviction) bool {
 		atomic.AddUint64(&t.declined, 1)
 		return false
 	}
-	t.br.note(err)
+	t.br.Note(err)
 	if err != nil {
 		return false
 	}
@@ -175,7 +176,7 @@ func (t *secondTier) onSet(key string, id uint64, value []byte, stored bool) {
 		if errors.Is(err, ErrEntryTooLarge) {
 			return
 		}
-		t.br.note(err)
+		t.br.Note(err)
 		if err == nil {
 			atomic.AddUint64(&t.writeThrough, 1)
 		}
@@ -187,7 +188,7 @@ func (t *secondTier) onSet(key string, id uint64, value []byte, stored bool) {
 // I/O and so carry no health signal.
 func (t *secondTier) supersede(key string) {
 	if wrote, err := t.t.Delete(key); wrote {
-		t.br.note(err)
+		t.br.Note(err)
 	}
 }
 
@@ -207,9 +208,9 @@ func (t *secondTier) invalidate(key string) {
 // bytes the other policies are measured against.
 type admitAll struct{}
 
-func (admitAll) name() string                          { return "all" }
-func (admitAll) admitEvicted(uint64, uint32, int) bool { return true }
-func (admitAll) admitInsert(uint64, uint32) bool       { return false }
+func (admitAll) name() string                           { return "all" }
+func (admitAll) admitEvicted(uint64, uint32, bool) bool { return true }
+func (admitAll) admitInsert(uint64, uint32) bool        { return false }
 
 // probAdmitP matches the simulator's probabilistic baseline (§5.4).
 const probAdmitP = 0.2
@@ -222,7 +223,7 @@ type admitProb struct {
 
 func (a *admitProb) name() string { return "prob" }
 
-func (a *admitProb) admitEvicted(id uint64, _ uint32, _ int) bool {
+func (a *admitProb) admitEvicted(id uint64, _ uint32, _ bool) bool {
 	n := atomic.AddUint64(&a.n, 1)
 	h := sketch.Hash(id^n, 0xF1A5)
 	return float64(h>>11)/float64(1<<53) < probAdmitP
@@ -230,23 +231,21 @@ func (a *admitProb) admitEvicted(id uint64, _ uint32, _ int) bool {
 
 func (a *admitProb) admitInsert(uint64, uint32) bool { return false }
 
-// admitFreq admits entries that were hit at least once while resident in
-// DRAM — one-hit wonders (the majority of objects in every trace the
-// paper studies) never reach the second tier.
+// admitFreq admits entries that proved reuse while resident in DRAM —
+// one-hit wonders (the majority of objects in every trace the paper
+// studies) never reach the second tier.
 type admitFreq struct{}
 
-func (admitFreq) name() string { return "freq" }
-func (admitFreq) admitEvicted(_ uint64, _ uint32, freq int) bool {
-	return freq >= 1
-}
-func (admitFreq) admitInsert(uint64, uint32) bool { return false }
+func (admitFreq) name() string                                      { return "freq" }
+func (admitFreq) admitEvicted(_ uint64, _ uint32, reused bool) bool { return reused }
+func (admitFreq) admitInsert(uint64, uint32) bool                   { return false }
 
 // admitGhost is the paper's small-FIFO filter (§5.4) against a real
-// ghost queue: evictions hit while resident are admitted; the rest are
-// remembered in a ghost FIFO queue sized to one flash generation
-// (ghost.Sizer), and a re-Set while remembered proves reuse and
-// writes through. Everything the ghost has forgotten is a one-hit wonder
-// and never touches the second tier.
+// ghost queue: evictions that proved reuse while resident (hit, or out
+// of M) are admitted; the rest are remembered in a ghost FIFO queue sized
+// to one flash generation (ghost.Sizer), and a re-Set while remembered
+// proves reuse and writes through. Everything the ghost has forgotten is
+// a one-hit wonder and never touches the second tier.
 type admitGhost struct {
 	mu    sync.Mutex
 	g     *ghost.Queue
@@ -255,13 +254,13 @@ type admitGhost struct {
 
 func (a *admitGhost) name() string { return "ghost" }
 
-func (a *admitGhost) admitEvicted(id uint64, size uint32, freq int) bool {
+func (a *admitGhost) admitEvicted(id uint64, size uint32, reused bool) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if entries, resized := a.sizer.Observe(size); resized {
 		a.g.Resize(entries)
 	}
-	if freq >= 1 {
+	if reused {
 		a.g.Remove(id) // admitted: later evictions start from fresh state
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,40 @@ func testFreqAdmission(t *testing.T, engine string) {
 	}
 }
 
+// TestMainVictimsProvedReuse: an object read twice in S moves to M, and
+// Algorithm 1 evicts it from M only at frequency 0. It proved reuse all
+// the same, so every admission policy that filters on reuse must write
+// it to the second tier, as admitting everything does.
+func TestMainVictimsProvedReuse(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, engine string) {
+		for _, admission := range []string{"all", "freq", "ghost"} {
+			c, err := New(Config{
+				MaxBytes:   64 << 10,
+				Shards:     1,
+				Engine:     engine,
+				FlashDir:   t.TempDir(),
+				FlashBytes: 1 << 20,
+				Admission:  admission,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2000; i++ {
+				key := fmt.Sprintf("k-%04d", i)
+				c.Set(key, val(i))
+				c.Get(key)
+				c.Get(key)
+			}
+			st, mainEvictions := c.Stats(), c.engine.Counters().MainQueueEvict
+			c.Close()
+			if mainEvictions == 0 || st.Demotions != mainEvictions {
+				t.Errorf("admission %s: %d demotions of %d M evictions (%d declined)",
+					admission, st.Demotions, mainEvictions, st.DemotionsDeclined)
+			}
+		}
+	})
+}
+
 // TestGhostWritesLessThanAdmitAll replays one Zipf-ish workload under
 // both policies: ghost must write strictly fewer flash bytes without
 // losing hits (the Fig. 9 property on the real store).
@@ -465,5 +500,40 @@ func testTieredConcurrent(t *testing.T, engine string) {
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no lookups recorded")
+	}
+}
+
+// TestGetExTierHitIsTimed: GetEx times its lookups as Get does, as
+// op=get, so a slow tier hit writes a slow-op line naming the tier.
+func TestGetExTierHitIsTimed(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	cfg := tieredConfig(t.TempDir(), "all")
+	cfg.SlowOpThreshold = 1
+	cfg.SlowOpLog = func(line string) {
+		mu.Lock()
+		lines = append(lines, line)
+		mu.Unlock()
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Set("cold", val(1))
+	for i := 0; c.Contains("cold") && i < 1000; i++ {
+		c.Set(fmt.Sprintf("flood-%04d", i), val(2))
+	}
+	mu.Lock()
+	lines = nil
+	mu.Unlock()
+	if v, state := c.GetEx("cold", 0); state != LookupHit || !bytes.Equal(v, val(1)) {
+		t.Fatalf("GetEx = %q, %v; want the demoted value, a hit", v, state)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	prefix := fmt.Sprintf("slow-op op=get key=%016x dur=", hashString("cold"))
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], prefix) || !strings.HasSuffix(lines[0], " tier=flash") {
+		t.Fatalf("slow-op lines %q, want one %q… tier=flash", lines, prefix)
 	}
 }

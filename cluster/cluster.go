@@ -570,9 +570,9 @@ func (c *Client) Stats() Stats {
 			RoutedDeletes: n.routedDelete.Load(),
 			RoutedGetx:    n.routedGetx.Load(),
 			RoutedSetx:    n.routedSetx.Load(),
-			Errors:        n.errors.Load(),
-			BreakerTrips:  n.trips.Load(),
-			Restores:      n.restores.Load(),
+			Errors:        n.br.Errors(),
+			BreakerTrips:  n.br.Trips(),
+			Restores:      n.br.Restores(),
 		})
 	}
 	return st
@@ -630,11 +630,11 @@ func (c *Client) registerNodeMetrics(addr string) {
 	counter("cluster_node_routed_total", "operations routed to the node", "setx",
 		func(n *node) uint64 { return n.routedSetx.Load() })
 	counter("cluster_node_errors_total", "operations failed against the node", "",
-		func(n *node) uint64 { return n.errors.Load() })
+		func(n *node) uint64 { return n.br.Errors() })
 	counter("cluster_node_breaker_trips_total", "times the node breaker opened", "",
-		func(n *node) uint64 { return n.trips.Load() })
+		func(n *node) uint64 { return n.br.Trips() })
 	counter("cluster_node_breaker_restores_total", "times the node breaker closed after probing", "",
-		func(n *node) uint64 { return n.restores.Load() })
+		func(n *node) uint64 { return n.br.Restores() })
 	m.GaugeFunc("cluster_node_available", "1 when the node breaker is closed",
 		telemetry.Labels{{Key: "node", Value: addr}}, func() float64 {
 			if n := c.nodeByAddr(addr); n != nil && n.available() {

@@ -57,7 +57,8 @@ func (c *Client) AddNode(addr string) error {
 		err = cc.Ping()
 	}
 	if err != nil {
-		n.trip()
+		n.br.Trip()
+		n.dropConn()
 	} else if c.opts.WarmupSamples > 0 && oldRing.Len() > 0 {
 		c.warmUp(n, oldRing, newRing)
 	}

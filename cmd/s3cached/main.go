@@ -93,6 +93,17 @@ func main() {
 	if *engine != "concurrent" {
 		log.Fatalf("s3cached: -engine %q: only concurrent is served", *engine)
 	}
+	// The anti-stampede settings mean nothing without -anti-stampede:
+	// refuse them rather than ignore them.
+	if !*antiStampede {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "coalesce-wait", "grace", "lease-ttl", "negative-ttl":
+				fmt.Fprintf(os.Stderr, "s3cached: -%s needs -anti-stampede\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 	// Flag semantics: 0 disables. Config semantics: 0 means default,
 	// negative disables. Map the operator-friendly form onto the config.
 	breakerThreshold := *flashBreaker
@@ -191,13 +202,15 @@ func main() {
 		}
 		os.Exit(0)
 	}()
-	if *flashDir != "" {
-		fmt.Printf("s3cached listening on %s (engine %s, %d MiB DRAM + %d MiB flash at %s, %d shards)\n",
-			*addr, c.Engine(), *maxBytes>>20, *flashBytes>>20, *flashDir, *shards)
-	} else {
-		fmt.Printf("s3cached listening on %s (engine %s, %d MiB, %d shards)\n",
-			*addr, c.Engine(), *maxBytes>>20, *shards)
+	// The tier in use, not the flags: -tier-addr wins over -flash-dir.
+	memory := fmt.Sprintf("%d MiB", *maxBytes>>20)
+	switch c.TierKind() {
+	case "flash":
+		memory = fmt.Sprintf("%d MiB DRAM + %d MiB flash at %s", *maxBytes>>20, *flashBytes>>20, *flashDir)
+	case "remote":
+		memory = fmt.Sprintf("%d MiB DRAM + remote tier at %s", *maxBytes>>20, *tierAddr)
 	}
+	fmt.Printf("s3cached listening on %s (engine %s, %s, %d shards)\n", *addr, c.Engine(), memory, *shards)
 	if *slowOp > 0 {
 		fmt.Printf("slow-op log at %v\n", *slowOp)
 	}

@@ -41,7 +41,8 @@ type algorithm1 struct {
 	version byte
 	vals    map[uint64][]byte
 	exps    map[uint64]int64
-	// gotEv and wantEv are the evictions each side reported, as "key/freq".
+	// gotEv and wantEv are the evictions each side reported, as
+	// "key/freq/main".
 	gotEv, wantEv []string
 }
 
@@ -54,11 +55,11 @@ func newAlgorithm1(t *testing.T, capacity, ghostEntries int, hooked bool) *algor
 	a.m.now = func() int64 { return a.clock }
 	a.ref = core.NewS3FIFO(uint64(capacity), core.Options{GhostEntries: ghostEntries, FixedGhost: true})
 	if hooked {
-		a.m.onEvict = func(key uint64, _ []byte, _ uint32, freq int, _ int64) {
-			a.gotEv = append(a.gotEv, fmt.Sprintf("%d/%d", key, freq))
+		a.m.onEvict = func(key uint64, _ []byte, _ uint32, freq int, _ int64, main bool) {
+			a.gotEv = append(a.gotEv, fmt.Sprintf("%d/%d/%v", key, freq, main))
 		}
 		a.ref.SetObserver(func(ev policy.Eviction) {
-			a.wantEv = append(a.wantEv, fmt.Sprintf("%d/%d", ev.Key, ev.Freq))
+			a.wantEv = append(a.wantEv, fmt.Sprintf("%d/%d/%v", ev.Key, ev.Freq, ev.Queue == policy.QueueMain))
 		})
 	}
 	return a

@@ -46,14 +46,18 @@ type KVConfig struct {
 
 // Eviction describes one capacity eviction as seen by the eviction hook:
 // the victim's key, value, charged size, S3-FIFO frequency at eviction
-// (0 for engines without a frequency counter), and absolute expiry
-// (0 = none). The second tier's demotion decision consumes all of these.
+// (0 for engines without a frequency counter), absolute expiry (0 =
+// none), and whether it left the main queue M. An M victim proved reuse
+// in S to get there, though Algorithm 1 evicts it only at frequency 0;
+// engines without an M report false. The second tier's demotion decision
+// consumes all of these.
 type Eviction struct {
 	Key       string
 	Value     []byte
 	Size      uint32
 	Freq      int
 	ExpiresAt int64
+	Main      bool
 }
 
 // minShardBytes keeps automatically chosen shards large enough that the
@@ -70,8 +74,8 @@ func NewKV(cfg KVConfig) *KV {
 		kv.now = cfg.Now
 	}
 	if hook := cfg.OnEvict; hook != nil {
-		kv.onEvict = func(key string, value []byte, size uint32, freq int, expiresAt int64) {
-			hook(Eviction{Key: key, Value: value, Size: size, Freq: freq, ExpiresAt: expiresAt})
+		kv.onEvict = func(key string, value []byte, size uint32, freq int, expiresAt int64, main bool) {
+			hook(Eviction{Key: key, Value: value, Size: size, Freq: freq, ExpiresAt: expiresAt, Main: main})
 		}
 	}
 	return kv

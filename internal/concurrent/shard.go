@@ -49,7 +49,7 @@ type machine[K comparable] struct {
 	shards    []*shard[K]
 	shardMask uint64
 	now       func() int64
-	onEvict   func(key K, value []byte, size uint32, freq int, expiresAt int64)
+	onEvict   func(key K, value []byte, size uint32, freq int, expiresAt int64, main bool)
 
 	// Eviction-flow accounting (see Counters): which Algorithm 1 branch
 	// each removal or reinsertion took.
@@ -661,7 +661,7 @@ func (s *shard[K]) finishEvictLocked(m *machine[K], q uint32, e *entry[K], freq 
 	s.charge(q, e, -1)
 	if m.onEvict != nil {
 		v, _ := e.value()
-		m.onEvict(e.key, v, e.size, freq, e.expires.Load())
+		m.onEvict(e.key, v, e.size, freq, e.expires.Load(), q == inMain)
 	}
 }
 
